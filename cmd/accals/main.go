@@ -34,13 +34,12 @@
 //	report runs/mtp8
 //
 // Candidate evaluation can be farmed out to external evaluator
-// processes (the same binary in -serve-eval mode) and overlapped
-// across rounds with -speculate; both switches are bit-identical to a
-// local sequential run:
+// processes (the same binary in -serve-eval mode); the result is
+// bit-identical to a local sequential run:
 //
 //	accals -serve-eval -listen 127.0.0.1:7001 &
 //	accals -serve-eval -listen 127.0.0.1:7002 &
-//	accals -circuit mtp8 -bound 0.05 -evaluators 127.0.0.1:7001,127.0.0.1:7002 -speculate
+//	accals -circuit mtp8 -bound 0.05 -evaluators 127.0.0.1:7001,127.0.0.1:7002
 package main
 
 import (
@@ -86,8 +85,6 @@ type config struct {
 	method      string
 	patterns    int
 	workers     int
-	incremental bool
-	speculate   bool
 	seed        int64
 	hasSeed     bool // -seed given explicitly
 	outPath     string
@@ -138,8 +135,6 @@ func parseFlags(args []string) (*config, bool, error) {
 	fs.StringVar(&cfg.method, "method", "accals", "synthesis method: accals, seals")
 	fs.IntVar(&cfg.patterns, "patterns", 8192, "Monte-Carlo pattern budget")
 	fs.IntVar(&cfg.workers, "workers", 0, "evaluation worker count (0 = one per CPU, 1 = sequential); results are identical at any setting")
-	fs.BoolVar(&cfg.incremental, "incremental", true, "reuse cached LAC candidates outside each round's dirty cone; results are identical either way")
-	fs.BoolVar(&cfg.speculate, "speculate", false, "overlap rounds by speculatively generating the next round's candidates while the current round measures; results are identical either way")
 	fs.Int64Var(&cfg.seed, "seed", 1, "random seed")
 	fs.StringVar(&cfg.outPath, "out", "", "write the approximate circuit as BLIF")
 	fs.StringVar(&cfg.aigerPath, "aiger", "", "write the approximate circuit as binary AIGER")
@@ -233,8 +228,8 @@ func (c *config) validate() error {
 	if c.evalFaults != "" && c.evaluators == "" {
 		return errors.New("-eval-faults needs -evaluators <addrs> to inject faults into")
 	}
-	if c.method != "accals" && (c.evaluators != "" || c.speculate) {
-		return fmt.Errorf("-evaluators and -speculate require -method accals (got %s)", c.method)
+	if c.method != "accals" && c.evaluators != "" {
+		return fmt.Errorf("-evaluators requires -method accals (got %s)", c.method)
 	}
 	if c.evalFaults != "" {
 		if _, err := faultinject.Parse(c.evalFaultSeed, c.evalFaults); err != nil {
@@ -329,8 +324,6 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 		Params:      core.Params{Seed: cfg.seed, HasSeed: cfg.hasSeed},
 		MaxRuntime:  cfg.maxRuntime,
 		Workers:     cfg.workers,
-		Incremental: cfg.incremental,
-		Speculate:   cfg.speculate,
 		CertBudget:  cfg.certBudget,
 	}
 	ropt.HasPatternSeed = cfg.hasSeed
@@ -440,20 +433,18 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 			}
 		}
 		m := ledger.Manifest{
-			CreatedAt:   time.Now(),
-			Command:     os.Args,
-			Circuit:     g.Name,
-			Method:      cfg.method,
-			Metric:      cfg.metricName,
-			Bound:       cfg.bound,
-			Seed:        ropt.Params.Seed,
-			Patterns:    cfg.patterns,
-			Workers:     cfg.workers,
-			Incremental: cfg.incremental,
-			Speculate:   cfg.speculate,
-			Evaluators:  evalCount,
-			TraceID:     rec.TraceID(),
-			Resumed:     cfg.resume,
+			CreatedAt:  time.Now(),
+			Command:    os.Args,
+			Circuit:    g.Name,
+			Method:     cfg.method,
+			Metric:     cfg.metricName,
+			Bound:      cfg.bound,
+			Seed:       ropt.Params.Seed,
+			Patterns:   cfg.patterns,
+			Workers:    cfg.workers,
+			Evaluators: evalCount,
+			TraceID:    rec.TraceID(),
+			Resumed:    cfg.resume,
 		}
 		m.FillEnvironment()
 		if err := bundle.WriteManifest(m); err != nil {

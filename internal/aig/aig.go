@@ -23,14 +23,6 @@ const (
 	ConstTrue  Lit = 1
 )
 
-// LitNone is the sentinel for "no literal": old→new node maps produced
-// by RebuildMapped use it for nodes with no image in the new graph
-// (logic swept away as dead). It is not a valid edge literal.
-const LitNone Lit = ^Lit(0)
-
-// IsNone reports whether the literal is the LitNone sentinel.
-func (l Lit) IsNone() bool { return l == LitNone }
-
 // MakeLit builds the literal for node id with the given complement flag.
 func MakeLit(node int, compl bool) Lit {
 	l := Lit(node) << 1

@@ -147,102 +147,6 @@ func (g *Graph) TFI(id int) *bitset.Set {
 	return set
 }
 
-// TFOSet returns the union of the transitive fanouts of the source
-// nodes (including the sources themselves) as a bit set over node ids,
-// using the given fanout lists. A nil or empty source list yields an
-// empty set.
-func (g *Graph) TFOSet(srcs []int, fanouts [][]int) *bitset.Set {
-	set := bitset.New(len(g.nodes))
-	var stack []int
-	for _, s := range srcs {
-		if !set.Has(s) {
-			set.Add(s)
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range fanouts[v] {
-			if !set.Has(w) {
-				set.Add(w)
-				stack = append(stack, w)
-			}
-		}
-	}
-	return set
-}
-
-// FanoutBall returns the set of nodes within radius fanout edges of
-// any seed node (seeds included): the targets whose depth-bounded TFI
-// window can contain a seed. Distances are per-node minima over all
-// seeds, so the ball is exactly the union of single-seed balls.
-func (g *Graph) FanoutBall(seeds *bitset.Set, fanouts [][]int, radius int) *bitset.Set {
-	set := bitset.New(len(g.nodes))
-	dist := make([]int, len(g.nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	var queue []int
-	seeds.ForEach(func(id int) {
-		dist[id] = 0
-		set.Add(id)
-		queue = append(queue, id)
-	})
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if dist[v] >= radius {
-			continue
-		}
-		for _, w := range fanouts[v] {
-			if dist[w] < 0 {
-				dist[w] = dist[v] + 1
-				set.Add(w)
-				queue = append(queue, w)
-			}
-		}
-	}
-	return set
-}
-
-// TFIWithin returns the set of nodes reachable from any seed through
-// at most depth fanin edges (seeds included) — the depth-bounded
-// backward closure used to over-approximate which structural-hash
-// probes a change can influence.
-func (g *Graph) TFIWithin(seeds *bitset.Set, depth int) *bitset.Set {
-	set := bitset.New(len(g.nodes))
-	dist := make([]int, len(g.nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	var queue []int
-	seeds.ForEach(func(id int) {
-		dist[id] = 0
-		set.Add(id)
-		queue = append(queue, id)
-	})
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if dist[v] >= depth {
-			continue
-		}
-		n := g.nodes[v]
-		if n.Kind != KindAnd {
-			continue
-		}
-		for _, f := range [2]int{n.Fanin0.Node(), n.Fanin1.Node()} {
-			if dist[f] < 0 {
-				dist[f] = dist[v] + 1
-				set.Add(f)
-				queue = append(queue, f)
-			}
-		}
-	}
-	return set
-}
-
 // ShortestFanoutDistance returns the length (in edges) of the shortest
 // directed path from node src to node dst through fanout edges, or -1
 // if no such path exists. A distance of 0 means src == dst.

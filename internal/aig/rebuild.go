@@ -15,18 +15,6 @@ type ReplaceFunc func(g *Graph, copyOf func(oldID int) Lit) Lit
 // duplicates). Dead logic is removed. The PI/PO interface is preserved
 // exactly: same count, order and names.
 func (g *Graph) Rebuild(repl map[int]ReplaceFunc) *Graph {
-	ng, _ := g.RebuildMapped(repl)
-	return ng
-}
-
-// RebuildMapped is Rebuild returning, alongside the new graph, the
-// old→new literal map: m[oldID] is the literal in the new (swept)
-// graph that computes old node oldID's post-substitution function, or
-// LitNone when the node's logic was swept away as dead. The map is
-// what lets cross-round caches survive Apply: node ids are renumbered
-// by the sweep, but m composes the rebuild's copy map with the sweep's
-// compaction into one translation.
-func (g *Graph) RebuildMapped(repl map[int]ReplaceFunc) (*Graph, []Lit) {
 	ng := New(g.Name)
 	copyLit := make([]Lit, len(g.nodes))
 	copyOf := func(oldID int) Lit { return copyLit[oldID] }
@@ -52,17 +40,7 @@ func (g *Graph) RebuildMapped(repl map[int]ReplaceFunc) (*Graph, []Lit) {
 	for i, l := range g.pos {
 		ng.AddPO(copyLit[l.Node()].NotIf(l.IsCompl()), g.poNames[i])
 	}
-	swept, sweepLit := ng.sweepMapped()
-	m := make([]Lit, len(g.nodes))
-	for id, l := range copyLit {
-		sl := sweepLit[l.Node()]
-		if sl.IsNone() {
-			m[id] = LitNone
-			continue
-		}
-		m[id] = sl.NotIf(l.IsCompl())
-	}
-	return swept, m
+	return ng.Sweep()
 }
 
 // Clone returns a deep copy of the graph with dead logic removed.
@@ -75,20 +53,9 @@ func (g *Graph) Clone() *Graph {
 // simulation interface is stable), and the AND nodes reachable from
 // the primary outputs.
 func (g *Graph) Sweep() *Graph {
-	ng, _ := g.sweepMapped()
-	return ng
-}
-
-// sweepMapped is Sweep returning the old→new literal map of the
-// compaction: LitNone for dropped (dead) nodes, an uncomplemented
-// literal for every surviving one.
-func (g *Graph) sweepMapped() (*Graph, []Lit) {
 	live := g.Reachable()
 	ng := New(g.Name)
 	copyLit := make([]Lit, len(g.nodes))
-	for i := range copyLit {
-		copyLit[i] = LitNone
-	}
 	for id, n := range g.nodes {
 		switch n.Kind {
 		case KindConst:
@@ -107,5 +74,5 @@ func (g *Graph) sweepMapped() (*Graph, []Lit) {
 	for i, l := range g.pos {
 		ng.AddPO(copyLit[l.Node()].NotIf(l.IsCompl()), g.poNames[i])
 	}
-	return ng, copyLit
+	return ng
 }

@@ -5,13 +5,6 @@
 // corrupt files. The graph travels inside the snapshot as BLIF text,
 // which keeps snapshots self-contained, diffable, and independent of
 // internal node numbering.
-//
-// Snapshots deliberately exclude the incremental round engine's caches
-// (per-target LAC candidates, influence-index vectors): those live in
-// memory for one run and are keyed to concrete node ids, which the
-// BLIF round-trip renumbers. A resumed run rebuilds them from scratch —
-// its first round is a full generation — and converges to the same
-// trajectory because the caches never change results, only timing.
 package checkpoint
 
 import (

@@ -2,34 +2,16 @@ package core
 
 import (
 	"context"
-	"math/rand"
-	"strings"
 	"time"
 
 	"accals/internal/aig"
 	"accals/internal/dispatch"
 	"accals/internal/errmetric"
-	"accals/internal/estimator"
 	"accals/internal/lac"
-	"accals/internal/mapping"
-	"accals/internal/maxerr"
 	"accals/internal/obs"
-	"accals/internal/par"
 	"accals/internal/runctl"
 	"accals/internal/simulate"
 )
-
-// pendingSim is an in-flight prefetched base simulation: the next
-// round's circuit simulated on a background goroutine while the main
-// loop finishes the current round's bookkeeping. done is closed when
-// res/err are ready; the channel close is the happens-before edge that
-// hands the runner back to the main loop.
-type pendingSim struct {
-	g    *aig.Graph
-	res  *simulate.Result
-	err  error
-	done chan struct{}
-}
 
 // Options configures a synthesis run (shared by AccALS and the
 // baseline flows).
@@ -87,26 +69,6 @@ type Options struct {
 	// and merges use exactly associative operations — so Workers only
 	// trades wall-clock time for cores.
 	Workers int
-	// Incremental enables the incremental round engine: after each
-	// Apply the run computes the dirty cone of the change and reuses
-	// the previous round's per-target LAC candidate lists and
-	// influence-index vectors for every clean node, regenerating only
-	// inside the cone. The trajectory is bit-identical to a
-	// from-scratch run — same circuits, per-round errors and stop
-	// reason — so the switch only trades memory for per-round time.
-	// The caches live in memory for the duration of one run; a resumed
-	// run's first round is a full generation.
-	Incremental bool
-	// Speculate enables speculative round pipelining: while a round
-	// measures its candidate sets, the predicted winner's circuit is
-	// simulated and its candidates generated on a background goroutine,
-	// so a correct prediction lets the next round skip straight to
-	// estimation. The trajectory is bit-identical with speculation on
-	// or off — every speculative artifact is a pure function of the
-	// inputs the normal path would use — so the switch only trades a
-	// background core for per-round latency. Unlike the plain
-	// simulation prefetch it also engages at Workers == 1.
-	Speculate bool
 	// Evaluators, when non-nil, farms candidate estimation out to the
 	// pool's external evaluator processes (accals -serve-eval),
 	// splitting each batch into per-evaluator slices plus a local
@@ -138,19 +100,6 @@ type StartState struct {
 	// Round is the round number the resumed run starts at (one past
 	// the checkpointed round).
 	Round int
-}
-
-// estimate dispatches to the configured estimation mode on the run's
-// Estimator, threading the recorder through for the estimate-phase
-// span.
-func (o Options) estimate(est *estimator.Estimator, g *aig.Graph, simRes *simulate.Result, cmp *errmetric.Comparator, cands []*lac.LAC) float64 {
-	if o.Evaluators != nil {
-		return o.Evaluators.EstimateAll(est, g, simRes, cmp, cands, o.ExactEstimates, o.Recorder)
-	}
-	if o.ExactEstimates {
-		return est.EstimateAllExactRec(g, simRes, cmp, cands, o.Recorder)
-	}
-	return est.EstimateAllRec(g, simRes, cmp, cands, o.Recorder)
 }
 
 // DefaultPatterns is the default Monte-Carlo sample size.
@@ -211,225 +160,51 @@ func RunWithComparator(orig *aig.Graph, cmp *errmetric.Comparator, errBound floa
 }
 
 // RunWithComparatorCtx is RunCtx with a caller-supplied comparator.
+// Its loop is Algorithm 1: each round simulates the accepted circuit,
+// generates and estimates candidate LACs, then either applies the
+// single best one (improvement technique 1, close to the bound) or
+// selects the top set, its conflict-free subset and the independent
+// and random sets, duels them and reverts a negative set (technique
+// 2). MaxED rounds are then SAT-certified, and one shared tail
+// publishes the round.
 func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.Comparator, errBound float64, opt Options, start time.Time) *Result {
 	if start.IsZero() {
 		start = time.Now()
 	}
-	params := opt.Params.fillDefaults(orig.NumAnds())
-	genCfg := opt.GenCfg
 	ctl := runctl.NewController(ctx, opt.Deadline, opt.MaxRuntime, start)
+	l := newLoop(orig, cmp, errBound, opt)
+	// Joined on every exit rather than after the loop, so that a
+	// panicking Progress callback (recovered by runctl.Guard at the
+	// public API boundary) cannot leak the prefetch goroutine and the
+	// graph and result it pins.
+	defer l.joinPrefetch()
 
-	gNew := orig.Clone()
-	e := 0.0
-	round0 := 0
-	if opt.Start != nil && opt.Start.Graph != nil {
+	gNew, e, round0 := orig.Clone(), 0.0, 0
+	resumed := opt.Start != nil && opt.Start.Graph != nil
+	if resumed {
 		gNew = opt.Start.Graph.Clone()
 		e = cmp.Error(gNew)
 		round0 = opt.Start.Round
 	}
-	g := gNew
-	eG := e
-	result := &Result{}
-	noProgress := 0
-	reason := runctl.Bounded
-	rec := opt.Recorder
-	patCount := cmp.Patterns().NumPatterns()
-
-	// SAT certification (MaxED only): every accepted circuit must carry
-	// a proof that its worst-case error distance stays within the bound
-	// on ALL inputs, not just the sampled patterns. The sampled MaxED
-	// is a lower bound, so the statistical loop acts as a cheap filter
-	// and the certifier has the final word on each round.
-	certEnabled := cmp.Kind() == errmetric.MaxED
-	var certBound uint64
-	certBudget := opt.CertBudget
-	if certEnabled {
-		// Remote evaluators cannot carry certification (and the wire
-		// protocol refuses the metric); keep estimation local rather
-		// than letting every batch fail over.
-		opt.Evaluators = nil
-		certBound = uint64(errBound)
-		if certBudget == 0 {
-			certBudget = DefaultCertBudget
-		}
-		if certBudget < 0 {
-			certBudget = 0 // unlimited for the solver
-		}
-	}
-	certify := func(cand *aig.Graph) (bool, int64) {
-		return certifyAgainst(cand, orig, certBound, certBudget, rec)
-	}
 	startUncertified := false
-	if certEnabled && opt.Start != nil && opt.Start.Graph != nil {
+	if l.certEnabled && resumed {
 		// A checkpoint is not a certificate: the warm-start circuit
 		// re-enters the certified-acceptance invariant only through its
 		// own proof.
-		ok, conflicts := certify(gNew)
-		result.CertConflicts += conflicts
+		ok, conflicts := l.certifyCircuit(gNew)
+		l.result.CertConflicts += conflicts
 		startUncertified = !ok || e > errBound
 	}
+	l.emitMeta(gNew, round0, resumed)
 
-	// The parallel evaluation engine: a sharded simulation runner and
-	// a sharded estimator sharing the run's worker budget. Workers: 1
-	// is the exact legacy sequential path; any other count produces
-	// bit-identical results (fixed shard boundaries, order-free
-	// merges), so the trajectory below never depends on Workers.
-	runner := simulate.NewRunner(opt.Workers)
-	est := estimator.New(opt.Workers)
-	parallel := runner.Workers() > 1
-	rec.SetWorkers(runner.Workers())
-	genCfg.Workers = opt.Workers
-
-	// The round ledger: with a sink attached, the run opens with a
-	// RunMeta, every round emits its full decision record, and the
-	// trajectory carries mapped area and logic depth. All of it is
-	// guarded by led so an unledgered run allocates no events and never
-	// invokes the technology mapper.
-	led := rec.Ledgering()
-	if led {
-		area, _ := mapping.AreaDelay(g)
-		rec.EmitMeta(obs.RunMeta{
-			Method:       "accals",
-			Circuit:      orig.Name,
-			Metric:       strings.ToLower(cmp.Kind().String()),
-			Bound:        errBound,
-			Seed:         params.Seed,
-			Patterns:     patCount,
-			Workers:      runner.Workers(),
-			InitialAnds:  g.NumAnds(),
-			InitialArea:  area,
-			InitialDepth: g.Depth(),
-			StartRound:   round0,
-			Resumed:      opt.Start != nil && opt.Start.Graph != nil,
-		})
-	}
-
-	// The incremental round engine: gen caches per-target candidate
-	// lists across rounds and infl carries the influence index across
-	// Apply boundaries; both are rebased through the aig.Delta of each
-	// round's final rebuild. Off (nil) unless opt.Incremental.
-	var gen *lac.Generator
-	if opt.Incremental {
-		gen = lac.NewGenerator(opt.Workers)
-	}
-	var infl *influenceIndex
-	generate := func(g *aig.Graph, simRes *simulate.Result) []*lac.LAC {
-		if gen != nil {
-			return gen.Generate(g, simRes, genCfg, rec)
-		}
-		return lac.Generate(g, simRes, genCfg)
-	}
-	// noteApply rebases the caches through the round's final rebuild:
-	// g → gNew via the literal map am, with applied the LAC set of that
-	// rebuild. A reverted round calls this once, for the single-LAC
-	// rebuild that actually produced gNew — the discarded multi-LAC
-	// rebuild is never noted, which is all the rollback the caches
-	// need.
-	noteApply := func(g, gNew *aig.Graph, am []aig.Lit, applied []*lac.LAC) {
-		if gen == nil {
-			return
-		}
-		d := aig.NewDelta(g, gNew, am, lac.Targets(applied))
-		gen.NoteApply(d, applied)
-		if infl != nil && infl.g == g {
-			infl = infl.rebase(d)
-		} else {
-			infl = nil
-		}
-	}
-
-	// The speculative round pipeline: spec owns the background slot and
-	// its dedicated simulation runner, ready carries a hit across the
-	// round boundary (its simulation and candidate list are the next
-	// round's simulate and generate phases, precomputed). settle runs at
-	// each round's end: a hit adopts the speculative state — the forked
-	// generator replaces the original and the influence index rebases
-	// through the speculative delta, exactly mirroring noteApply — while
-	// a miss (or an unspeculated round) does the normal cache rebase and
-	// simulation prefetch. One rebase per round either way, always with
-	// the rebuild that actually produced gNew.
-	var spec *speculator
-	if opt.Speculate {
-		spec = &speculator{
-			runner: simulate.NewRunner(opt.Workers),
-			pats:   cmp.Patterns(),
-			genCfg: genCfg,
-			rec:    rec,
-		}
-	}
-	var ready *specRound
-	settle := func(round int, specSp *specRound, match bool, g, gNew *aig.Graph, am []aig.Lit, applied []*lac.LAC) bool {
-		if specSp != nil {
-			if sp := spec.resolve(match); sp != nil {
-				ready = sp
-				if gen != nil {
-					gen = sp.gen
-					if infl != nil && infl.g == g {
-						infl = infl.rebase(sp.delta)
-					} else {
-						infl = nil
-					}
-				}
-				rec.CountSpeculation(true)
-				return true
-			}
-			rec.CountSpeculation(false)
-		}
-		noteApply(g, gNew, am, applied)
-		return false
-	}
-
-	// measure evaluates a candidate LAC set's true error under the
-	// measure-phase span. Rather than building and fully resimulating
-	// the candidate circuit, the targets are overlaid on the round's
-	// base simulation and only their fanout cones recomputed
-	// (estimator.ResimulateWithSet) — bit-identical to
-	// cmp.Error(lac.Apply(base, set)) because Rebuild preserves output
-	// functions. The comparator is shared by the duel's concurrent
-	// measurements; its evaluation paths are read-only.
-	measure := func(round int, base *aig.Graph, simRes *simulate.Result, set []*lac.LAC) float64 {
-		sp := rec.StartPhase(round, obs.PhaseMeasure)
-		e := cmp.ErrorFromPOs(estimator.ResimulateWithSet(base, simRes, set))
-		sp.End()
-		rec.CountSimPatterns(patCount)
-		return e
-	}
-
-	// pend is the prefetched base simulation of the next round's
-	// circuit, overlapped with end-of-round bookkeeping (progress
-	// clone, checkpointing). The next simulate phase joins it; every
-	// other exit joins it in the deferred handler below — deferred
-	// rather than placed after the loop so that a panicking Progress
-	// callback (recovered by runctl.Guard at the public API boundary)
-	// cannot leak the goroutine and its pinned graph and result.
-	var pend *pendingSim
-	defer func() {
-		if pend != nil {
-			<-pend.done
-			runner.Release(pend.res)
-		}
-		if spec != nil {
-			spec.shutdown(ready)
-		}
-	}()
-	startPrefetch := func(round int) {
-		if !parallel || e > errBound || round+1 >= params.MaxRounds || noProgress >= StagnationRounds {
-			return
-		}
-		pend = &pendingSim{g: gNew, done: make(chan struct{})}
-		go func(p *pendingSim) {
-			p.res, p.err = runner.Run(p.g, cmp.Patterns())
-			close(p.done)
-		}(pend)
-	}
-
+	g, eG := gNew, e
+	reason := runctl.Bounded
 	if startUncertified {
 		// Reject the unprovable checkpoint outright: the run falls back
 		// to the exact circuit (trivially within any bound) and the
 		// stop reason tells the caller the resume was not adopted.
 		g = orig.Clone()
 		eG = cmp.Error(g)
-		gNew, e = g, eG
 		reason = runctl.Uncertified
 	}
 	for round := round0; !startUncertified; round++ {
@@ -439,455 +214,41 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		}
 		// gNew is within the bound: accept it as the new best.
 		g, eG = gNew, e
-		if round >= params.MaxRounds {
+		if round >= l.params.MaxRounds {
 			reason = runctl.MaxRounds
 			break
 		}
-		if r, stop := ctl.Stop(); stop {
-			reason = r
+		if why, stop := ctl.Stop(); stop {
+			reason = why
 			break
 		}
-		rng := rand.New(rand.NewSource(roundSeed(params.Seed, round)))
-		roundStart := time.Now()
-		rec.BeginRound(round)
-		roundSpan := rec.StartPhase(round, obs.PhaseRound)
-		rs := RoundStats{Round: round, NumAnds: g.NumAnds()}
-
-		sp := rec.StartPhase(round, obs.PhaseSimulate)
-		var simRes *simulate.Result
-		var serr error
-		if ready != nil {
-			if ready.g == g {
-				// Speculation hit: the base simulation (and, below, the
-				// candidate list) were precomputed last round.
-				simRes = ready.res
-			} else {
-				// Defensive: a hit must have installed its circuit as
-				// this round's base; recycle a mismatched one.
-				spec.runner.Release(ready.res)
-				ready = nil
-			}
-		}
-		if pend != nil {
-			<-pend.done
-			if pend.g == g {
-				simRes, serr = pend.res, pend.err
-			} else {
-				// Defensive: the prefetched circuit is not this
-				// round's base; recycle and simulate the actual one.
-				runner.Release(pend.res)
-			}
-			pend = nil
-		}
-		if simRes == nil && serr == nil {
-			simRes, serr = runner.RunRec(g, cmp.Patterns(), rec)
-		}
-		sp.End()
-		if serr != nil {
+		r := l.beginRound(round, g, eG)
+		if err := l.simulate(r); err != nil {
 			// Only reachable through a warm start whose interface
 			// slipped validation; keep the best accepted circuit.
-			roundSpan.End()
+			r.span.End()
 			reason = runctl.Failed
 			break
 		}
-		rec.CountSimPatterns(patCount)
-
-		sp = rec.StartPhase(round, obs.PhaseGenerate)
-		var cands []*lac.LAC
-		if ready != nil {
-			cands = ready.cands
-			ready = nil
-		} else {
-			cands = generate(g, simRes)
-		}
-		sp.End()
-		rs.Candidates = len(cands)
-		rec.CountCandidates(len(cands))
-		if len(cands) == 0 {
-			roundSpan.End()
+		if !l.generate(r) {
+			r.span.End()
 			reason = runctl.Stagnated
 			break
 		}
-		opt.estimate(est, g, simRes, cmp, cands)
-		sortByDeltaE(cands)
-
-		if e > params.LE*errBound && !params.DisableImprovements {
-			// Improvement technique 1: single-LAC selection close to
-			// the error bound.
-			rec.GuardSingleLAC()
-			rs.GuardSingle = true
-			applied := cands[:1]
-			sp = rec.StartPhase(round, obs.PhaseApply)
-			var am []aig.Lit
-			gNew, am = lac.ApplyMapped(g, applied)
-			sp.End()
-			// The applied set is already final, so speculation here is a
-			// pure pipeline: the next round's simulate and generate
-			// overlap this round's measurement.
-			var specSp *specRound
-			if spec != nil && round+1 < params.MaxRounds {
-				specSp = spec.launch(g, applied, gNew, am, gen)
-				rs.Speculated = true
-			}
-			e = measure(round, g, simRes, applied)
-			if certEnabled && e <= errBound {
-				rs.CertRan = true
-				rs.Certified, rs.CertConflicts = certify(gNew)
-				result.CertConflicts += rs.CertConflicts
-			}
-			// Same trace-only round-tail spans as the multi-LAC path
-			// below, so timeline attribution stays honest on guard
-			// rounds too.
-			tracing := rec.Tracing()
-			var tailT0 time.Time
-			var measured []float64
-			if led {
-				if tracing {
-					tailT0 = time.Now()
-				}
-				measured = est.MeasureEach(g, simRes, cmp, applied, rec)
-				if tracing {
-					rec.EmitEvent(obs.TraceEvent{Name: "measure-each", Round: round, Start: tailT0, Dur: time.Since(tailT0)})
-				}
-			}
-			runner.Release(simRes)
-			if tracing {
-				tailT0 = time.Now()
-			}
-			rs.SpecHit = settle(round, specSp, true, g, gNew, am, applied)
-			if !rs.SpecHit {
-				startPrefetch(round)
-			}
-			if tracing {
-				rec.EmitEvent(obs.TraceEvent{Name: "rebase", Round: round, Start: tailT0, Dur: time.Since(tailT0)})
-			}
-			rs.AppliedLACs = 1
-			rs.Error = e
-			rs.EstimatedErr = estimatedError(eG, applied)
-			rs.NoProgress = noProgress
-			rs.RoundDuration = time.Since(roundStart)
-			roundSpan.End()
-			result.Rounds = append(result.Rounds, rs)
-			result.LACsApplied++
-			rec.CountApplied(1)
-			rec.EndRound(round, e, gNew.NumAnds(), noProgress, 1)
-			if led {
-				rec.EmitRound(ledgerRound(rs, gNew, errBound-eG, applied, measured))
-			}
-			emitProgress(opt.Progress, rs, gNew)
-			if rs.CertRan && !rs.Certified {
-				// The sampled error passed but the SAT proof did not
-				// (bound refuted on an unsampled input, or the conflict
-				// budget ran out): reject the round, keep the last
-				// certified circuit.
-				gNew, e = g, eG
-				reason = runctl.Uncertified
-				break
-			}
-			continue
-		}
-
-		rs.MultiRound = true
-		sp = rec.StartPhase(round, obs.PhaseConflictGraph)
-		lTop := obtainTopSet(cands, e, errBound, params.RRef)
-		rs.TopSize = len(lTop)
-		lSol, _, confEdges := findSolveLACConf(lTop)
-		sp.End()
-		rs.ConflictEdges = confEdges
-		rs.SolSize = len(lSol)
-		var lIndp, lRand []*lac.LAC
-		if !params.DisableIndp {
-			sp = rec.StartPhase(round, obs.PhaseMIS)
-			if infl == nil || infl.g != g {
-				infl = newInfluenceIndex(g)
-			}
-			var ist indpStats
-			lIndp, ist = selectIndpLACs(lSol, infl, e, errBound, params)
-			rs.InflPairs, rs.InflAbove, rs.MISSize = ist.pairs, ist.above, ist.misSize
-			sp.End()
-		}
-		if !params.DisableRandom {
-			lRand = selectRandomLACs(lSol, e, errBound, params, rng)
-		}
-		if lIndp == nil && lRand == nil {
-			// Both sets ablated away: degenerate to single selection.
-			lRand = lSol[:1]
-		}
-		rs.IndpSize = len(lIndp)
-		rs.RandSize = len(lRand)
-
-		// Speculation: predict the winner before measuring and pipeline
-		// the next round's front half against it. Single-set rounds are
-		// sure predictions; duels are predicted by the same comparison
-		// the duel makes, on estimated instead of measured errors.
-		var specSp *specRound
-		predIndp := false
-		if spec != nil && round+1 < params.MaxRounds {
-			switch {
-			case lIndp == nil:
-				specSp = spec.launch(g, lRand, nil, nil, gen)
-			case lRand == nil:
-				predIndp = true
-				specSp = spec.launch(g, lIndp, nil, nil, gen)
-			default:
-				predIndp = predictIndp(lIndp, lRand, eG)
-				if predIndp {
-					specSp = spec.launch(g, lIndp, nil, nil, gen)
-				} else {
-					specSp = spec.launch(g, lRand, nil, nil, gen)
-				}
-			}
-			rs.Speculated = true
-		}
-
-		var applied []*lac.LAC
-		switch {
-		case lIndp == nil:
-			applied = lRand
-			e = measure(round, g, simRes, applied)
-		case lRand == nil:
-			applied = lIndp
-			e = measure(round, g, simRes, applied)
-			rs.PickedIndp = true
-		default:
-			// The duel: measure both candidate sets concurrently on
-			// the shared base simulation. Only the winner's circuit is
-			// built — measurement needs the output vectors, not the
-			// rewritten graph.
-			var e1, e2 float64
-			par.Do(parallel,
-				func() { e1 = measure(round, g, simRes, lIndp) },
-				func() { e2 = measure(round, g, simRes, lRand) },
-			)
-			rs.HasDuel = true
-			rs.DuelIndpErr, rs.DuelRandErr = e1, e2
-			if e1 < e2 || (e1 == e2 && len(lIndp) >= len(lRand)) {
-				e, applied = e1, lIndp
-				rs.PickedIndp = true
-			} else {
-				e, applied = e2, lRand
-			}
-			rec.DuelOutcome(rs.PickedIndp)
-		}
-		sp = rec.StartPhase(round, obs.PhaseApply)
-		match := specSp != nil && predIndp == rs.PickedIndp
-		var am []aig.Lit
-		if match {
-			// The predicted rebuild was already built at launch; adopting
-			// it (rather than an identical re-Apply) is what lines the
-			// forked generator's pointer identities up with next round.
-			gNew, am = specSp.g, specSp.am
+		l.estimate(r)
+		if l.nearBound(r) {
+			l.singleLAC(r)
 		} else {
-			gNew, am = lac.ApplyMapped(g, applied)
+			l.selectSets(r)
+			l.duel(r)
+			l.revertNegative(r)
 		}
-		sp.End()
-		rs.EstimatedErr = estimatedError(eG, applied)
-
-		// Improvement technique 2: detect a negative LAC set by the
-		// relative gap between actual and estimated error; if
-		// triggered, redo the round with the single best LAC. The
-		// same fallback fires when a multi-LAC set overshoots the
-		// error bound outright — terminating there would strand the
-		// remaining error budget on coarse-grained candidates.
-		if e > 0 && !params.DisableImprovements {
-			beta := (e - rs.EstimatedErr) / e
-			if beta > params.LD || (e > errBound && len(applied) > 1) {
-				rec.GuardNegativeRevert()
-				rec.CountReverted(len(applied))
-				rs.Reverted = true
-				sp = rec.StartPhase(round, obs.PhaseRevert)
-				applied = cands[:1]
-				gNew, am = lac.ApplyMapped(g, applied)
-				e = cmp.ErrorFromPOs(estimator.ResimulateWithSet(g, simRes, applied))
-				sp.End()
-				rec.CountSimPatterns(patCount)
-				match = false
-			}
-		}
-
-		// Certification (MaxED): the statistical measurement above is a
-		// lower bound over sampled patterns; only a SAT proof over the
-		// error miter admits the round. Runs after the revert so the
-		// circuit proved is the one that would be adopted.
-		if certEnabled && e <= errBound {
-			rs.CertRan = true
-			rs.Certified, rs.CertConflicts = certify(gNew)
-			result.CertConflicts += rs.CertConflicts
-		}
-
-		// Stagnation guard state: optimistic gain estimates can
-		// produce rounds that neither shrink the circuit nor move the
-		// error; a few such rounds in a row means convergence. The
-		// counter is updated before the stats are published so
-		// RoundStats.NoProgress explains an upcoming Stagnated stop.
-		if gNew.NumAnds() >= g.NumAnds() && e <= eG {
-			noProgress++
-		} else {
-			noProgress = 0
-		}
-		// The round-tail bookkeeping below is not phase-histogram work,
-		// but it is wall-clock the merged timeline must account for:
-		// trace-only spans (Tracing-gated, so an untraced run pays
-		// nothing) keep `report -timeline`'s unattributed remainder
-		// honest.
-		tracing := rec.Tracing()
-		var tailT0 time.Time
-		var measured []float64
-		if led {
-			if tracing {
-				tailT0 = time.Now()
-			}
-			measured = est.MeasureEach(g, simRes, cmp, applied, rec)
-			if tracing {
-				rec.EmitEvent(obs.TraceEvent{Name: "measure-each", Round: round, Start: tailT0, Dur: time.Since(tailT0)})
-			}
-		}
-		runner.Release(simRes)
-		// One rebase per round, with the rebuild that actually produced
-		// gNew: the revert above overwrites applied, am and the
-		// speculation match before the caches ever see the discarded
-		// multi-LAC rebuild.
-		if tracing {
-			tailT0 = time.Now()
-		}
-		rs.SpecHit = settle(round, specSp, match, g, gNew, am, applied)
-		if !rs.SpecHit {
-			startPrefetch(round)
-		}
-		if tracing {
-			rec.EmitEvent(obs.TraceEvent{Name: "rebase", Round: round, Start: tailT0, Dur: time.Since(tailT0)})
-		}
-		rs.NoProgress = noProgress
-		rs.AppliedLACs = len(applied)
-		rs.Error = e
-		rs.RoundDuration = time.Since(roundStart)
-		roundSpan.End()
-		result.Rounds = append(result.Rounds, rs)
-		result.LACsApplied += len(applied)
-		rec.CountApplied(len(applied))
-		rec.EndRound(round, e, gNew.NumAnds(), noProgress, len(applied))
-		if led {
-			rec.EmitRound(ledgerRound(rs, gNew, errBound-eG, applied, measured))
-		}
-		emitProgress(opt.Progress, rs, gNew)
-		if rs.CertRan && !rs.Certified {
-			gNew, e = g, eG
-			reason = runctl.Uncertified
+		l.certify(r)
+		if why, stop := l.finishRound(r); stop {
+			reason = why
 			break
 		}
-		if noProgress >= StagnationRounds {
-			gNew, e = g, eG
-			reason = runctl.Stagnated
-			break
-		}
+		gNew, e = r.gNew, r.e
 	}
-
-	result.Final = g
-	result.Error = eG
-	result.StopReason = reason
-	// Under MaxED every adopted circuit either carried its own SAT
-	// proof or is a copy of the exact circuit (zero error on all
-	// inputs), so the final result is certified by construction.
-	result.Certified = certEnabled
-	result.Runtime = time.Since(start)
-	if led {
-		area, _ := mapping.AreaDelay(g)
-		rec.EmitFinish(obs.RunFinish{
-			StopReason:  reason.String(),
-			Rounds:      round0 + len(result.Rounds),
-			Error:       eG,
-			NumAnds:     g.NumAnds(),
-			Area:        area,
-			Depth:       g.Depth(),
-			LACsApplied: result.LACsApplied,
-			RuntimeUS:   result.Runtime.Microseconds(),
-		})
-	}
-	rec.Finish(reason.String())
-	return result
-}
-
-// certifyAgainst runs one SAT certification of cand against the exact
-// circuit and feeds the outcome counter. Any constructive error (the
-// interfaces were validated at run entry, so none is expected) is
-// treated as not-certified rather than silently accepted.
-func certifyAgainst(cand, exact *aig.Graph, bound uint64, budget int64, rec *obs.Recorder) (bool, int64) {
-	cert, err := maxerr.CertifyRec(cand, exact, bound, budget, rec)
-	if err != nil {
-		rec.CountCert(obs.CertBudget)
-		return false, 0
-	}
-	switch {
-	case cert.Certified:
-		rec.CountCert(obs.CertCertified)
-	case cert.Exceeded:
-		rec.CountCert(obs.CertRefuted)
-	default:
-		rec.CountCert(obs.CertBudget)
-	}
-	return cert.Certified, cert.Conflicts
-}
-
-// ledgerRound converts one completed round's statistics into the
-// ledger's event shape. Only called when a ledger sink is attached:
-// the area/depth trajectory columns invoke the technology mapper,
-// which the uninstrumented loop must never pay for.
-func ledgerRound(rs RoundStats, gNew *aig.Graph, budgetLeft float64, applied []*lac.LAC, measured []float64) obs.RoundEvent {
-	ev := obs.RoundEvent{
-		Round:         rs.Round,
-		Candidates:    rs.Candidates,
-		BudgetLeft:    budgetLeft,
-		TopSize:       rs.TopSize,
-		ConflictNodes: rs.TopSize,
-		ConflictEdges: rs.ConflictEdges,
-		SolSize:       rs.SolSize,
-		InflPairs:     rs.InflPairs,
-		InflAbove:     rs.InflAbove,
-		MISSize:       rs.MISSize,
-		IndpSize:      rs.IndpSize,
-		RandSize:      rs.RandSize,
-		PickedIndp:    rs.PickedIndp,
-		Multi:         rs.MultiRound,
-		GuardSingle:   rs.GuardSingle,
-		Reverted:      rs.Reverted,
-		Speculated:    rs.Speculated,
-		SpecHit:       rs.SpecHit,
-		EstErr:        rs.EstimatedErr,
-		Error:         rs.Error,
-		NumAnds:       gNew.NumAnds(),
-		Depth:         gNew.Depth(),
-		NoProgress:    rs.NoProgress,
-		DurationUS:    rs.RoundDuration.Microseconds(),
-	}
-	ev.Area, _ = mapping.AreaDelay(gNew)
-	if rs.CertRan {
-		c := rs.Certified
-		ev.Certified = &c
-		ev.CertConflicts = rs.CertConflicts
-	}
-	if rs.HasDuel {
-		i, r := rs.DuelIndpErr, rs.DuelRandErr
-		ev.DuelIndpErr, ev.DuelRandErr = &i, &r
-	}
-	for i, l := range applied {
-		a := obs.AppliedLAC{Target: l.Target, Gain: l.Gain, DeltaE: l.DeltaE}
-		if i < len(measured) {
-			a.MeasuredErr = measured[i]
-		}
-		ev.Applied = append(ev.Applied, a)
-	}
-	return ev
-}
-
-// emitProgress delivers one round's statistics to the Progress
-// callback. The snapshot is decoupled from the run: the graph is
-// deep-copied, so a callback that retains or mutates it cannot
-// corrupt the synthesis state.
-func emitProgress(progress func(RoundStats), rs RoundStats, g *aig.Graph) {
-	if progress == nil {
-		return
-	}
-	snap := rs
-	snap.Graph = g.Clone()
-	progress(snap)
+	return l.finish(g, eG, reason, round0, start)
 }

@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"net"
 	"testing"
 	"time"
 
 	"accals/internal/aiger"
+	"accals/internal/checkpoint"
 	"accals/internal/circuits"
+	"accals/internal/dispatch"
 	"accals/internal/errmetric"
 	"accals/internal/runctl"
 )
@@ -32,6 +35,27 @@ func runTrajectory(t *testing.T, metric errmetric.Kind, workers int) ([]byte, []
 		errs[i] = r.Error
 	}
 	return buf.Bytes(), errs, res
+}
+
+// compareTrajectories asserts bit-identity of two runs: same circuit
+// bytes, same per-round errors, same final error and stop reason.
+func compareTrajectories(t *testing.T, label string, wantBytes []byte, wantErrs []float64, wantRes *Result, gotBytes []byte, gotErrs []float64, gotRes *Result) {
+	t.Helper()
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatalf("%s: final circuit differs", label)
+	}
+	if len(gotErrs) != len(wantErrs) {
+		t.Fatalf("%s: %d rounds vs %d", label, len(gotErrs), len(wantErrs))
+	}
+	for i := range wantErrs {
+		if gotErrs[i] != wantErrs[i] {
+			t.Fatalf("%s round %d: error %g, want %g (must be bit-identical)", label, i, gotErrs[i], wantErrs[i])
+		}
+	}
+	if gotRes.Error != wantRes.Error || gotRes.StopReason != wantRes.StopReason {
+		t.Fatalf("%s: result (%g, %v) vs (%g, %v)", label,
+			gotRes.Error, gotRes.StopReason, wantRes.Error, wantRes.StopReason)
+	}
 }
 
 // TestWorkersBitIdentical asserts the tentpole determinism contract:
@@ -132,4 +156,134 @@ func TestParallelCancellation(t *testing.T) {
 	if res.Final == nil {
 		t.Fatal("deadline run returned no circuit")
 	}
+}
+
+// TestCheckpointResumeWorkers4 covers the checkpoint x parallel
+// interaction: a run checkpointed mid-flight and resumed at Workers 4
+// (over a BLIF-renumbered graph) must land on the byte-identical final
+// circuit and replay the uninterrupted run's tail exactly.
+func TestCheckpointResumeWorkers4(t *testing.T) {
+	g := circuits.ArrayMult(5)
+	const bound = 0.4
+	opts := func() Options {
+		return Options{
+			NumPatterns: 2048,
+			Workers:     4,
+			Params:      Params{Seed: 7, MaxRounds: 30},
+		}
+	}
+
+	// Uninterrupted reference run.
+	want := Run(g, errmetric.ER, bound, opts())
+	if len(want.Rounds) < 6 {
+		t.Fatalf("reference run too short (%d rounds) to interrupt meaningfully", len(want.Rounds))
+	}
+
+	// Interrupted run: checkpoint every round, cancel after round 3.
+	dir := t.TempDir()
+	w, err := checkpoint.NewWriter(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	opt := opts()
+	opt.Progress = func(rs RoundStats) {
+		snap := &checkpoint.Snapshot{Round: rs.Round, Error: rs.Error, Seed: 7, HasSeed: true}
+		if err := snap.SetGraph(rs.Graph); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := w.Save(snap); err != nil {
+			t.Error(err)
+			return
+		}
+		if rs.Round == 3 {
+			cancel()
+		}
+	}
+	interrupted := RunCtx(ctx, g, errmetric.ER, bound, opt)
+	if interrupted.StopReason != runctl.Cancelled {
+		t.Fatalf("interrupted run stopped with %v, want Cancelled", interrupted.StopReason)
+	}
+
+	// Resume from the latest snapshot.
+	snap, err := checkpoint.Latest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, err := snap.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ropt := opts()
+	ropt.Start = &StartState{Graph: sg, Round: snap.Round + 1}
+	got := Run(g, errmetric.ER, bound, ropt)
+
+	var wb, gb bytes.Buffer
+	if err := aiger.WriteASCII(&wb, want.Final); err != nil {
+		t.Fatal(err)
+	}
+	if err := aiger.WriteASCII(&gb, got.Final); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wb.Bytes(), gb.Bytes()) || got.Error != want.Error || got.StopReason != want.StopReason {
+		t.Fatalf("resumed run diverged: (%g, %v) vs (%g, %v)",
+			got.Error, got.StopReason, want.Error, want.StopReason)
+	}
+	// The resumed rounds must replay the uninterrupted tail exactly.
+	tail := want.Rounds[snap.Round+1:]
+	if len(got.Rounds) != len(tail) {
+		t.Fatalf("resumed run ran %d rounds, want %d", len(got.Rounds), len(tail))
+	}
+	for i := range tail {
+		if got.Rounds[i].Error != tail[i].Error || got.Rounds[i].Round != tail[i].Round {
+			t.Fatalf("resumed round %d: (%d, %g) vs (%d, %g)", i,
+				got.Rounds[i].Round, got.Rounds[i].Error, tail[i].Round, tail[i].Error)
+		}
+	}
+}
+
+// TestEvaluatorPoolBitIdentical runs a full synthesis with candidate
+// estimation farmed to an in-process dispatch server and asserts the
+// trajectory is bit-identical to a purely local run.
+func TestEvaluatorPoolBitIdentical(t *testing.T) {
+	wantBytes, wantErrs, wantRes := runTrajectory(t, errmetric.NMED, 2)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &dispatch.Server{Workers: 2}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Serve(ctx, ln)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	g := circuits.ArrayMult(4)
+	opt := Options{
+		NumPatterns: 1024,
+		Workers:     2,
+		Params:      Params{Seed: 7, MaxRounds: 30},
+	}
+	pool := dispatch.NewPool([]string{ln.Addr().String()}, errmetric.NMED, g, opt.Patterns(g), nil)
+	pool.MinBatch = 1
+	defer pool.Close()
+	opt.Evaluators = pool
+
+	res := Run(g, errmetric.NMED, 0.03, opt)
+	var buf bytes.Buffer
+	if err := aiger.WriteASCII(&buf, res.Final); err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]float64, len(res.Rounds))
+	for i, r := range res.Rounds {
+		errs[i] = r.Error
+	}
+	compareTrajectories(t, "evaluator pool", wantBytes, wantErrs, wantRes, buf.Bytes(), errs, res)
 }

@@ -124,14 +124,8 @@ func BuildConflictGraph(lacs []*lac.LAC) *mis.Graph {
 // index p_ji for the pair of target nodes (earlier, later) in
 // topological order: 1/d for the shortest directed path length d when
 // connected, otherwise the fractional overlap of transitive fanouts
-// |F(earlier) ∩ F(later)| / |F(later)|.
-//
-// The index is persistent across rounds of the incremental engine:
-// rebase carries it over an Apply, keeping the previous round's
-// distance vectors and fanout sets available for lazy translation into
-// the new graph's id space. A source whose transitive fanout was not
-// disturbed by the rebuild answers queries from the translated cache
-// instead of a fresh BFS.
+// |F(earlier) ∩ F(later)| / |F(later)|. It is built per round over
+// that round's circuit.
 type influenceIndex struct {
 	g       *aig.Graph
 	fanouts [][]int
@@ -140,23 +134,6 @@ type influenceIndex struct {
 	dist map[int][]int32
 	// tfo caches transitive fanout sets per node.
 	tfo map[int]*bitset.Set
-	// prev, when non-nil, holds the previous round's caches for lazy
-	// remapping (one generation only: a rebase drops its predecessor's
-	// un-queried entries).
-	prev *inflPrev
-}
-
-// inflPrev is the previous generation of an influenceIndex: the delta
-// connecting the two graphs, the old-space caches, and the set of
-// old-space sources whose cached vectors are stale.
-type inflPrev struct {
-	d    *aig.Delta
-	dist map[int][]int32
-	tfo  map[int]*bitset.Set
-	// contam marks old sources whose transitive fanout contains any
-	// node with changed out-edges (removed, merged, replaced, or
-	// gaining an edge to fresh logic); their vectors must be rebuilt.
-	contam *bitset.Set
 }
 
 // newInfluenceIndex prepares fanout lists for the graph.
@@ -169,114 +146,10 @@ func newInfluenceIndex(g *aig.Graph) *influenceIndex {
 	}
 }
 
-// rebase carries the index across the rebuild described by d (whose Old
-// must be the index's graph), returning an index for d.New that serves
-// undisturbed sources from the previous caches. Contamination is
-// old-space: a source is stale iff its transitive fanout contains a
-// node whose out-edges changed — a disturbed node itself (everything in
-// BadOld), the image of a structural-hash merge or replacement (it
-// gains the merged node's fanouts), or a fanin of a fresh node (it
-// gains an edge). The full transitive fanin of those nodes is exactly
-// the set of sources whose distance vectors or fanout sets can differ.
-func (x *influenceIndex) rebase(d *aig.Delta) *influenceIndex {
-	c := d.BadOld.Clone()
-	for ox := 1; ox < d.Old.NumNodes(); ox++ {
-		if d.Pure(ox) || d.M[ox].IsNone() {
-			continue
-		}
-		if p := d.Rev[d.M[ox].Node()]; p >= 0 {
-			c.Add(p)
-		}
-	}
-	for _, y := range d.FreshNew {
-		n := d.New.NodeAt(y)
-		for _, f := range [2]int{n.Fanin0.Node(), n.Fanin1.Node()} {
-			if p := d.Rev[f]; p >= 0 {
-				c.Add(p)
-			}
-		}
-	}
-	// Full backward closure: depth bound of NumNodes never binds.
-	contam := d.Old.TFIWithin(c, d.Old.NumNodes())
-	return &influenceIndex{
-		g:       d.New,
-		fanouts: d.New.Fanouts(),
-		dist:    make(map[int][]int32),
-		tfo:     make(map[int]*bitset.Set),
-		prev:    &inflPrev{d: d, dist: x.dist, tfo: x.tfo, contam: contam},
-	}
-}
-
-// remapDist translates the previous round's distance vector of src's
-// preimage into the new id space, or returns nil when src has no clean
-// cached vector. An uncontaminated source reaches only pure nodes, so
-// every finite distance survives verbatim; fresh nodes are unreachable
-// from it and stay at -1.
-func (x *influenceIndex) remapDist(src int) []int32 {
-	pv := x.prev
-	if pv == nil {
-		return nil
-	}
-	p := pv.d.Rev[src]
-	if p < 0 || pv.contam.Has(p) {
-		return nil
-	}
-	pd, ok := pv.dist[p]
-	if !ok {
-		return nil
-	}
-	d := make([]int32, x.g.NumNodes())
-	for y := range d {
-		if q := pv.d.Rev[y]; q >= 0 {
-			d[y] = pd[q]
-		} else {
-			d[y] = -1
-		}
-	}
-	return d
-}
-
-// remapTfo translates the previous round's fanout set of id's preimage
-// into the new id space, or returns nil when no clean cached set
-// exists.
-func (x *influenceIndex) remapTfo(id int) *bitset.Set {
-	pv := x.prev
-	if pv == nil {
-		return nil
-	}
-	p := pv.d.Rev[id]
-	if p < 0 || pv.contam.Has(p) {
-		return nil
-	}
-	ps, ok := pv.tfo[p]
-	if !ok {
-		return nil
-	}
-	s := bitset.New(x.g.NumNodes())
-	pure := true
-	ps.ForEach(func(ox int) {
-		if !pv.d.Pure(ox) {
-			pure = false
-			return
-		}
-		s.Add(pv.d.M[ox].Node())
-	})
-	if !pure {
-		// Defensive: an uncontaminated source cannot reach an impure
-		// node, but a stale vector must never be served.
-		return nil
-	}
-	return s
-}
-
 // distancesFrom returns (cached) BFS distances from src through fanout
 // edges; -1 marks unreachable nodes.
 func (x *influenceIndex) distancesFrom(src int) []int32 {
 	if d, ok := x.dist[src]; ok {
-		return d
-	}
-	if d := x.remapDist(src); d != nil {
-		x.dist[src] = d
 		return d
 	}
 	d := make([]int32, x.g.NumNodes())
@@ -302,10 +175,6 @@ func (x *influenceIndex) distancesFrom(src int) []int32 {
 // tfoOf returns the (cached) transitive fanout set of node id.
 func (x *influenceIndex) tfoOf(id int) *bitset.Set {
 	if s, ok := x.tfo[id]; ok {
-		return s
-	}
-	if s := x.remapTfo(id); s != nil {
-		x.tfo[id] = s
 		return s
 	}
 	s := x.g.TFO(id, x.fanouts)

@@ -92,7 +92,10 @@ const xorCost = 3
 // simulated values res. Candidates keep the graph acyclic by
 // construction: every SN id is strictly smaller than its target id.
 // The returned slice is deterministic for a fixed graph and pattern
-// set, ordered by target id and then by deviation.
+// set, ordered by target id and then by deviation. Targets are sharded
+// across cfg.Workers goroutines; the result is identical for every
+// worker count, because shards only partition the target list and
+// each target's generation is independent.
 func Generate(g *aig.Graph, res *simulate.Result, cfg Config) []*LAC {
 	cfg = resolve(cfg, g.NumAnds())
 	refs := g.RefCounts()
@@ -100,9 +103,34 @@ func Generate(g *aig.Graph, res *simulate.Result, cfg Config) []*LAC {
 	if cfg.GlobalWires > 0 {
 		sigs = buildSignatureIndex(g, res)
 	}
-	targets := liveTargets(g, refs)
+	// Eligible targets: AND nodes referenced by a fanin or PO.
+	var targets []int
+	for id := 0; id < g.NumNodes(); id++ {
+		if g.IsAnd(id) && refs[id] > 0 {
+			targets = append(targets, id)
+		}
+	}
+	npat := res.Patterns.NumPatterns()
+	per := make([][]*LAC, len(targets))
+	workers := par.Resolve(cfg.Workers)
+	// Each shard copies the refs slice (graph-sized), so a shard must
+	// amortize that over at least a handful of targets (par.BlocksMin).
+	blocks := par.BlocksMin(workers, len(targets), 8)
+	par.For(blocks, len(targets), func(shard, begin, end int) {
+		r := refs
+		if blocks > 1 {
+			// MFFC sizing mutates-then-restores the refs slice, so
+			// concurrent shards need private copies.
+			r = append([]int(nil), refs...)
+		}
+		for i := begin; i < end; i++ {
+			id := targets[i]
+			mffc := g.MFFCSize(id, r)
+			per[i] = generateForTarget(g, res, cfg, id, mffc, npat, sigs, r)
+		}
+	})
 	var out []*LAC
-	for _, cands := range generateTargets(g, res, cfg, targets, refs, sigs) {
+	for _, cands := range per {
 		out = append(out, cands...)
 	}
 	return out
@@ -111,10 +139,7 @@ func Generate(g *aig.Graph, res *simulate.Result, cfg Config) []*LAC {
 // resolve normalises a Config into its effective form: the zero value
 // becomes the full defaults, unset numeric fields are filled in, and
 // GlobalWires folds onto a canonical encoding (0 means "default quota",
-// any negative sentinel becomes 0 meaning "off"). Resolved configs are
-// comparable: two configs request the same generation iff their
-// resolved forms are equal with Workers ignored, which is what the
-// incremental Generator's cache key relies on.
+// any negative sentinel becomes 0 meaning "off").
 func resolve(cfg Config, numAnds int) Config {
 	workers := cfg.Workers
 	cfg.Workers = 0
@@ -148,47 +173,6 @@ func resolve(cfg Config, numAnds int) Config {
 	}
 	cfg.Workers = workers
 	return cfg
-}
-
-// liveTargets lists the AND nodes eligible as LAC targets (referenced
-// by at least one fanin or PO), in ascending id order.
-func liveTargets(g *aig.Graph, refs []int) []int {
-	var ts []int
-	for id := 0; id < g.NumNodes(); id++ {
-		if g.IsAnd(id) && refs[id] > 0 {
-			ts = append(ts, id)
-		}
-	}
-	return ts
-}
-
-// generateTargets produces the candidate list of each requested target,
-// sharding the targets across cfg.Workers goroutines. Entry i holds the
-// candidates of targets[i] and is never nil, so callers can distinguish
-// "generated, empty" from "not generated". The result is identical for
-// every worker count: shards only partition the target list, and each
-// target's generation is independent.
-func generateTargets(g *aig.Graph, res *simulate.Result, cfg Config, targets []int, refs []int, sigs *signatureIndex) [][]*LAC {
-	npat := res.Patterns.NumPatterns()
-	out := make([][]*LAC, len(targets))
-	workers := par.Resolve(cfg.Workers)
-	// Each shard copies the refs slice (graph-sized), so a shard must
-	// amortize that over at least a handful of targets (par.BlocksMin).
-	blocks := par.BlocksMin(workers, len(targets), 8)
-	par.For(blocks, len(targets), func(shard, begin, end int) {
-		r := refs
-		if blocks > 1 {
-			// MFFC sizing mutates-then-restores the refs slice, so
-			// concurrent shards need private copies.
-			r = append([]int(nil), refs...)
-		}
-		for i := begin; i < end; i++ {
-			id := targets[i]
-			mffc := g.MFFCSize(id, r)
-			out[i] = generateForTarget(g, res, cfg, id, mffc, npat, sigs, r)
-		}
-	})
-	return out
 }
 
 // signatureIndex buckets nodes by the first simulation word of their

@@ -1,6 +1,7 @@
 package lac
 
 import (
+	"reflect"
 	"testing"
 
 	"accals/internal/aig"
@@ -233,4 +234,73 @@ func TestGenerateTripleCandidatesValid(t *testing.T) {
 	if !found {
 		t.Fatal("no ternary candidates generated with EnableResub3 on any benchmark")
 	}
+}
+
+// TestGlobalWiresSentinel is the regression test for the zero
+// sentinel: Config.GlobalWires == 0 has always meant "use the
+// default quota", so zero must keep meaning that, and disabling the
+// feature needs the explicit GlobalWiresOff sentinel (any negative
+// value, normalised to the canonical 0 internally).
+func TestGlobalWiresSentinel(t *testing.T) {
+	def := DefaultConfig(100)
+	if def.GlobalWires <= 0 {
+		t.Fatalf("default GlobalWires = %d; the zero-means-default contract needs a positive default", def.GlobalWires)
+	}
+	if got := resolve(Config{GlobalWires: 0}, 100).GlobalWires; got != def.GlobalWires {
+		t.Fatalf("GlobalWires 0 resolved to %d, want default %d", got, def.GlobalWires)
+	}
+	if got := resolve(Config{GlobalWires: GlobalWiresOff}, 100).GlobalWires; got != 0 {
+		t.Fatalf("GlobalWiresOff resolved to %d, want 0", got)
+	}
+	if got := resolve(Config{GlobalWires: -5}, 100).GlobalWires; got != 0 {
+		t.Fatalf("GlobalWires -5 resolved to %d, want 0 (all negatives are one sentinel)", got)
+	}
+	// All negatives are the same request: the canonicalised configs —
+	// and hence the generated candidates — must be identical.
+	g := circuits.RandomLogic("gw", 8, 4, 90, 11)
+	res := simulate.MustRun(g, simulate.NewPatterns(g.NumPIs(), 256, 5))
+	off1 := Generate(g, res, Config{GlobalWires: GlobalWiresOff})
+	off2 := Generate(g, res, Config{GlobalWires: -5})
+	sameLACs(t, "GlobalWiresOff vs -5", off1, off2)
+	// Off really suppresses the global matcher: every wire SN must be
+	// reachable inside the target's divisor window, which the bounded
+	// window cap makes distinguishable from global matching on a large
+	// enough circuit. Cheap proxy: off generates no more candidates
+	// than default, and resolve differs.
+	on := Generate(g, res, Config{})
+	if len(off1) > len(on) {
+		t.Fatalf("disabled global wires produced more candidates (%d) than default (%d)", len(off1), len(on))
+	}
+}
+
+// sameLACs asserts two candidate lists are field-for-field identical.
+func sameLACs(t *testing.T, label string, got, want []*LAC) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(*got[i], *want[i]) {
+			t.Fatalf("%s: candidate %d = %v, want %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestGenerateWorkerInvariance: the sharded generator must produce the
+// same candidates in the same order at every worker count.
+func TestGenerateWorkerInvariance(t *testing.T) {
+	g := circuits.RandomLogic("wk", 9, 5, 150, 3)
+	res := simulate.MustRun(g, simulate.NewPatterns(g.NumPIs(), 512, 7))
+	for _, cfg := range []Config{{}, {EnableResub: true}, {EnableResub: true, EnableResub3: true}} {
+		want := Generate(g, res, withWorkers(cfg, 1))
+		for _, w := range []int{2, 3, 7} {
+			got := Generate(g, res, withWorkers(cfg, w))
+			sameLACs(t, "workers", got, want)
+		}
+	}
+}
+
+func withWorkers(cfg Config, w int) Config {
+	cfg.Workers = w
+	return cfg
 }

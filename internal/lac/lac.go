@@ -260,17 +260,8 @@ func (l *LAC) DeviationInto(dst simulate.Vec, res *simulate.Result) (simulate.Ve
 // SN-before-TN topological invariant (which would silently corrupt the
 // rebuild) or when two LACs share a target node (a Type-1 conflict).
 func Apply(g *aig.Graph, lacs []*LAC) *aig.Graph {
-	ng, _ := ApplyMapped(g, lacs)
-	return ng
-}
-
-// ApplyMapped is Apply returning, alongside the new graph, the old→new
-// literal map of the rebuild (see aig.RebuildMapped). The map is what
-// the incremental Generator consumes to carry per-target caches across
-// rounds.
-func ApplyMapped(g *aig.Graph, lacs []*LAC) (*aig.Graph, []aig.Lit) {
 	if len(lacs) == 0 {
-		return g.RebuildMapped(nil)
+		return g.Rebuild(nil)
 	}
 	repl := make(map[int]aig.ReplaceFunc, len(lacs))
 	for _, l := range lacs {
@@ -284,14 +275,5 @@ func ApplyMapped(g *aig.Graph, lacs []*LAC) (*aig.Graph, []aig.Lit) {
 		}
 		repl[l.Target] = l.Replace()
 	}
-	return g.RebuildMapped(repl)
-}
-
-// Targets returns the target node ids of the given LACs, in order.
-func Targets(lacs []*LAC) []int {
-	ts := make([]int, len(lacs))
-	for i, l := range lacs {
-		ts[i] = l.Target
-	}
-	return ts
+	return g.Rebuild(repl)
 }

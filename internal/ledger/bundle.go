@@ -36,15 +36,13 @@ type Manifest struct {
 	// Command is the invoking process's argument vector.
 	Command []string `json:"command,omitempty"`
 	// Run configuration.
-	Circuit     string  `json:"circuit,omitempty"`
-	Method      string  `json:"method,omitempty"`
-	Metric      string  `json:"metric,omitempty"`
-	Bound       float64 `json:"bound,omitempty"`
-	Seed        int64   `json:"seed,omitempty"`
-	Patterns    int     `json:"patterns,omitempty"`
-	Workers     int     `json:"workers,omitempty"`
-	Incremental bool    `json:"incremental,omitempty"`
-	Speculate   bool    `json:"speculate,omitempty"`
+	Circuit  string  `json:"circuit,omitempty"`
+	Method   string  `json:"method,omitempty"`
+	Metric   string  `json:"metric,omitempty"`
+	Bound    float64 `json:"bound,omitempty"`
+	Seed     int64   `json:"seed,omitempty"`
+	Patterns int     `json:"patterns,omitempty"`
+	Workers  int     `json:"workers,omitempty"`
 	// Evaluators counts the remote evaluator processes the run farmed
 	// candidate estimation to (0 = purely local evaluation).
 	Evaluators int `json:"evaluators,omitempty"`

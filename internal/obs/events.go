@@ -106,9 +106,10 @@ type RoundEvent struct {
 	// declared negative (beta > l_d, or a multi-LAC overshoot) and the
 	// round was redone with the single best LAC.
 	Reverted bool `json:"reverted,omitempty"`
-	// Speculated marks rounds that launched the speculative next-round
-	// pipeline; SpecHit marks those whose prediction matched the final
-	// applied set, so the next round consumed precomputed state.
+	// Speculated and SpecHit are written only by earlier versions,
+	// which could pipeline rounds speculatively: Speculated marks rounds
+	// that launched a next-round speculation, SpecHit those whose
+	// prediction matched. They stay so those ledgers keep decoding.
 	Speculated bool `json:"speculated,omitempty"`
 	SpecHit    bool `json:"spec_hit,omitempty"`
 	// Certified reports the round's SAT certification verdict under

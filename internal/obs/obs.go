@@ -42,7 +42,6 @@ const (
 	PhaseRevert
 	PhaseCEC
 	PhaseRound
-	PhaseDirtyCone
 	numPhases
 )
 
@@ -57,7 +56,6 @@ var phaseNames = [numPhases]string{
 	"revert",
 	"cec",
 	"round",
-	"dirty-cone",
 }
 
 // String returns the phase's stable lower-case name (used as the
@@ -135,14 +133,10 @@ type Recorder struct {
 	simPatterns   *Counter
 	satConflicts  *Counter
 	evaluations   *Counter
-	cacheHits     *Counter
-	cacheMisses   *Counter
 	roundGauge    *Gauge
 	errorGauge    *Gauge
 	andsGauge     *Gauge
 	noProgress    *Gauge
-	specHits      *Counter
-	specMisses    *Counter
 	certCertified *Counter
 	certRefuted   *Counter
 	certBudget    *Counter
@@ -188,14 +182,6 @@ func NewRecorder() *Recorder {
 		"CDCL conflicts spent by SAT-based equivalence checks.")
 	r.evaluations = reg.Counter("accals_evaluations_total",
 		"Candidate circuit evaluations (AMOSA annealer).")
-	r.cacheHits = reg.Counter("accals_lac_cache_total",
-		"Per-target LAC candidate lists served by the incremental generator, by cache disposition.", L("result", "hit"))
-	r.cacheMisses = reg.Counter("accals_lac_cache_total",
-		"Per-target LAC candidate lists served by the incremental generator, by cache disposition.", L("result", "miss"))
-	r.specHits = reg.Counter("accals_speculation_total",
-		"Speculative round-pipelining outcomes: hit means the predicted winner matched and the prefetched next round was adopted.", L("result", "hit"))
-	r.specMisses = reg.Counter("accals_speculation_total",
-		"Speculative round-pipelining outcomes: hit means the predicted winner matched and the prefetched next round was adopted.", L("result", "miss"))
 	r.certCertified = reg.Counter("accals_cert_total",
 		"SAT certification outcomes of maximum-error rounds: certified (bound proved), refuted (counterexample found), budget (conflict budget exhausted, round rejected).", L("result", "certified"))
 	r.certRefuted = reg.Counter("accals_cert_total",
@@ -272,7 +258,7 @@ func (r *Recorder) CurrentRound() int {
 
 // EmitEvent fans one trace event out to every attached tracer. Unlike
 // Span.End it does not feed the phase histograms, so events from
-// other processes and overlap lanes (speculation, RPC) never skew the
+// other processes and RPC lanes never skew the
 // per-phase time summary. A Round of -1 is replaced by the current
 // round. No-op without tracers.
 func (r *Recorder) EmitEvent(ev TraceEvent) {
@@ -542,40 +528,12 @@ func (r *Recorder) AddSATConflicts(n int64) {
 	r.satConflicts.Add(float64(n))
 }
 
-// CountLACCache records one incremental-generation round's cache
-// dispositions: hits are targets whose candidate lists were reused from
-// the previous round (after id translation), misses are targets
-// regenerated inside the dirty cone (a full generation counts every
-// target as a miss).
-func (r *Recorder) CountLACCache(hits, misses int) {
-	if r == nil {
-		return
-	}
-	r.cacheHits.Add(float64(hits))
-	r.cacheMisses.Add(float64(misses))
-}
-
 // CountEvaluation counts one candidate-circuit evaluation (AMOSA).
 func (r *Recorder) CountEvaluation() {
 	if r == nil {
 		return
 	}
 	r.evaluations.Inc()
-}
-
-// CountSpeculation records one speculative round-pipelining outcome: a
-// hit means the duel winner matched the prediction and the prefetched
-// simulation + candidate generation were adopted; a miss means they
-// were discarded and the round fell back to the sequential path.
-func (r *Recorder) CountSpeculation(hit bool) {
-	if r == nil {
-		return
-	}
-	if hit {
-		r.specHits.Inc()
-	} else {
-		r.specMisses.Inc()
-	}
 }
 
 // CertOutcome is the disposition of one SAT certification attempt.

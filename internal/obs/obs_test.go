@@ -43,7 +43,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 
 func TestPhaseNames(t *testing.T) {
 	want := []string{"simulate", "generate", "estimate", "conflict-graph",
-		"mis", "apply", "measure", "revert", "cec", "round", "dirty-cone"}
+		"mis", "apply", "measure", "revert", "cec", "round"}
 	ps := Phases()
 	if len(ps) != len(want) {
 		t.Fatalf("got %d phases, want %d", len(ps), len(want))

@@ -240,7 +240,6 @@ func buildOptions(spec JobSpec, defaultWorkers int, defaultDeadline time.Duratio
 	ropt := core.Options{
 		NumPatterns: spec.Patterns,
 		Workers:     workers,
-		Incremental: true,
 		MaxRuntime:  spec.maxRuntime(defaultDeadline),
 	}
 	if spec.Seed != 0 {
@@ -505,18 +504,17 @@ func (m *Manager) openBundle(id string, spec JobSpec, circuit string, ropt core.
 		m.cfg.Log.Warn("bundle trace open failed", "job", id, "err", terr)
 	}
 	man := ledger.Manifest{
-		CreatedAt:   time.Now(),
-		Command:     []string{"accalsd", "job=" + id, "tenant=" + spec.Tenant},
-		Circuit:     circuit,
-		Method:      spec.method(),
-		Metric:      spec.Metric,
-		Bound:       spec.Bound,
-		Seed:        ropt.Params.Seed,
-		Patterns:    ropt.NumPatterns,
-		Workers:     ropt.Workers,
-		Incremental: ropt.Incremental,
-		TraceID:     rec.TraceID(),
-		Resumed:     resumeSnap != nil,
+		CreatedAt: time.Now(),
+		Command:   []string{"accalsd", "job=" + id, "tenant=" + spec.Tenant},
+		Circuit:   circuit,
+		Method:    spec.method(),
+		Metric:    spec.Metric,
+		Bound:     spec.Bound,
+		Seed:      ropt.Params.Seed,
+		Patterns:  ropt.NumPatterns,
+		Workers:   ropt.Workers,
+		TraceID:   rec.TraceID(),
+		Resumed:   resumeSnap != nil,
 	}
 	man.FillEnvironment()
 	if merr := bundle.WriteManifest(man); merr != nil {
