@@ -123,7 +123,9 @@ func Synthesize(orig *Graph, metric Metric, bound float64, opt Options) *Result 
 
 // SynthesizeSEALS runs the single-selection baseline flow (one LAC
 // per round, as in SEALS, DAC 2022). It produces comparable quality
-// to Synthesize but needs many more rounds.
+// to Synthesize but needs many more rounds. It runs on Synthesize's
+// round loop and honours the same Options (a MaxED run is certified),
+// except that Options.Workers does not override GenCfg.Workers.
 func SynthesizeSEALS(orig *Graph, metric Metric, bound float64, opt Options) *Result {
 	return seals.Run(orig, metric, bound, opt)
 }

@@ -11,9 +11,10 @@
 // The maxed metric bounds the worst-case error distance and proves it
 // with SAT: every accepted round carries an UNSAT certificate that
 // |approx - exact| never exceeds -bound on any input (the bound is an
-// absolute integer, not a fraction):
+// absolute integer, not a fraction). Both methods certify:
 //
 //	accals -circuit rca8 -metric maxed -bound 4
+//	accals -circuit rca8 -method seals -metric maxed -bound 4
 //
 // Long runs are interrupt-safe: SIGINT/SIGTERM stops the run after the
 // current round and the best-so-far circuit is still written to -out,
@@ -195,9 +196,6 @@ func (c *config) validate() error {
 		return fmt.Errorf("-bound %v out of range: want a fraction in (0,1], e.g. 0.05 for 5%%", c.bound)
 	}
 	if metric == errmetric.MaxED {
-		if c.method != "accals" {
-			return errors.New("-metric maxed requires -method accals (SAT certification is wired into the multi-LAC loop)")
-		}
 		if c.evaluators != "" {
 			return errors.New("-metric maxed cannot use -evaluators: the remote evaluation protocol has no certification path")
 		}
@@ -227,9 +225,6 @@ func (c *config) validate() error {
 	}
 	if c.evalFaults != "" && c.evaluators == "" {
 		return errors.New("-eval-faults needs -evaluators <addrs> to inject faults into")
-	}
-	if c.method != "accals" && c.evaluators != "" {
-		return fmt.Errorf("-evaluators requires -method accals (got %s)", c.method)
 	}
 	if c.evalFaults != "" {
 		if _, err := faultinject.Parse(c.evalFaultSeed, c.evalFaults); err != nil {
@@ -493,19 +488,12 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 			fmt.Fprintf(os.Stderr, "accals: round %d err=%.6f ands=%d lacs=%d noprog=%d\n",
 				rs.Round, rs.Error, rs.NumAnds, rs.AppliedLACs, rs.NoProgress)
 		}
-		// A round whose measured error exceeds the bound is rejected at
-		// the top of the next round and never joins the accepted
-		// trajectory — snapshotting it would make a resume adopt a
-		// circuit that violates the bound. The same goes for a round
-		// whose SAT certification failed (maxed metric): its sampled
-		// error passed but the proof did not, so a resume must never
-		// adopt it. Only accepted rounds are checkpointed, so the
-		// latest snapshot always restarts the run on the exact
-		// trajectory it was interrupted on. The snapshot is built for
-		// every accepted round (not just cadence rounds) so an
-		// interrupt can persist the last accepted round off-cadence.
-		if ckpt != nil && rs.Graph != nil && rs.Error <= cfg.bound &&
-			(!rs.CertRan || rs.Certified) {
+		// Only adoptable rounds (within the bound and, under maxed,
+		// certified) are checkpointed, so the latest snapshot always
+		// restarts the run on the exact trajectory it was interrupted
+		// on. The snapshot is built for every such round (not just
+		// cadence rounds) so an interrupt can persist it off-cadence.
+		if ckpt != nil && rs.Graph != nil && rs.Adoptable(cfg.bound) {
 			s := &checkpoint.Snapshot{
 				Round:   rs.Round,
 				Error:   rs.Error,

@@ -649,7 +649,6 @@ func TestValidateEvaluatorFlags(t *testing.T) {
 		want string
 	}{
 		{"faults without evaluators", []string{"-circuit", "mtp8", "-eval-faults", "dispatch.connect:error:1"}, "-evaluators"},
-		{"evaluators with seals", []string{"-circuit", "mtp8", "-method", "seals", "-evaluators", "127.0.0.1:1"}, "-method accals"},
 		{"bad fault spec", []string{"-circuit", "mtp8", "-evaluators", "127.0.0.1:1", "-eval-faults", "dispatch.connect:explode:1"}, "unknown mode"},
 	}
 	for _, tc := range cases {
@@ -665,6 +664,46 @@ func TestValidateEvaluatorFlags(t *testing.T) {
 	if err := mustParse(t, ok...).validate(); err != nil {
 		t.Fatalf("valid evaluator config rejected: %v", err)
 	}
+	// SEALS runs on the shared round loop, so it farms estimation out
+	// like AccALS does and writes the same circuit as a local run.
+	t.Run("evaluators with seals", func(t *testing.T) {
+		addrs := startEvalServer(t, 2)
+		dir := t.TempDir()
+		args := []string{"-circuit", "mtp8", "-method", "seals", "-bound", "0.05", "-patterns", "512", "-workers", "2"}
+		localRep, localBlob := runStable(t, filepath.Join(dir, "local.blif"), args...)
+		remoteRep, remoteBlob := runStable(t, filepath.Join(dir, "remote.blif"), append(args, "-evaluators", addrs)...)
+		if localRep != remoteRep || !bytes.Equal(localBlob, remoteBlob) {
+			t.Fatalf("SEALS with evaluators differs from the local run:\n%s\n---\n%s", localRep, remoteRep)
+		}
+	})
+}
+
+// runStable validates and runs the CLI with args, writing the circuit
+// to path. It returns the report without its run-dependent lines
+// (runtime, evaluator count, output paths) and the written BLIF.
+func runStable(t *testing.T, path string, args ...string) (string, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	cfg := mustParse(t, append(args, "-out", path)...)
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), cfg, &buf); err != nil {
+		t.Fatalf("run %v: %v\n%s", args, err, buf.String())
+	}
+	var stable []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "runtime:") || strings.HasPrefix(line, "evaluators:") ||
+			strings.HasPrefix(line, "wrote ") {
+			continue
+		}
+		stable = append(stable, line)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Join(stable, "\n"), blob
 }
 
 // startEvalServer runs serveEval on a loopback port and returns its
@@ -705,30 +744,9 @@ func TestRunEvaluatorsEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 
 	out := func(name string, extra ...string) (string, []byte) {
-		path := filepath.Join(dir, name+".blif")
-		var buf bytes.Buffer
 		args := append([]string{"-circuit", "mtp8", "-metric", "nmed", "-bound", "0.01",
-			"-patterns", "1024", "-seed", "7", "-workers", "2", "-out", path}, extra...)
-		cfg := mustParse(t, args...)
-		if err := cfg.validate(); err != nil {
-			t.Fatal(err)
-		}
-		if err := run(context.Background(), cfg, &buf); err != nil {
-			t.Fatalf("run %v: %v\n%s", extra, err, buf.String())
-		}
-		var stable []string
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if strings.HasPrefix(line, "runtime:") || strings.HasPrefix(line, "evaluators:") ||
-				strings.HasPrefix(line, "wrote ") {
-				continue
-			}
-			stable = append(stable, line)
-		}
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.Join(stable, "\n"), blob
+			"-patterns", "1024", "-seed", "7", "-workers", "2"}, extra...)
+		return runStable(t, filepath.Join(dir, name+".blif"), args...)
 	}
 
 	localRep, localBlob := out("local")

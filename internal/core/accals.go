@@ -147,32 +147,50 @@ func Run(orig *aig.Graph, metric errmetric.Kind, errBound float64, opt Options) 
 // the best circuit accepted so far with StopReason Cancelled or
 // DeadlineExceeded.
 func RunCtx(ctx context.Context, orig *aig.Graph, metric errmetric.Kind, errBound float64, opt Options) *Result {
-	start := time.Now()
-	pats := opt.Patterns(orig)
-	cmp := errmetric.NewComparator(metric, orig, pats)
-	return RunWithComparatorCtx(ctx, orig, cmp, errBound, opt, start)
+	return runMetric(ctx, accalsFlow, orig, metric, errBound, opt)
 }
 
-// RunWithComparator is Run with a caller-supplied comparator, allowing
-// experiments to share the reference simulation across flows.
-func RunWithComparator(orig *aig.Graph, cmp *errmetric.Comparator, errBound float64, opt Options, start time.Time) *Result {
-	return RunWithComparatorCtx(context.Background(), orig, cmp, errBound, opt, start)
-}
-
-// RunWithComparatorCtx is RunCtx with a caller-supplied comparator.
-// Its loop is Algorithm 1: each round simulates the accepted circuit,
-// generates and estimates candidate LACs, then either applies the
-// single best one (improvement technique 1, close to the bound) or
-// selects the top set, its conflict-free subset and the independent
-// and random sets, duels them and reverts a negative set (technique
-// 2). MaxED rounds are then SAT-certified, and one shared tail
-// publishes the round.
+// RunWithComparatorCtx is RunCtx with a caller-supplied comparator,
+// allowing experiments to share the reference simulation across flows.
 func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.Comparator, errBound float64, opt Options, start time.Time) *Result {
+	return run(ctx, accalsFlow, orig, cmp, errBound, opt, start)
+}
+
+// RunSEALSCtx is RunCtx for the single-selection baseline modelled on
+// SEALS (Meng et al., DAC 2022): every round applies only the best
+// candidate. It runs the same loop as AccALS, so the two flows share
+// generation, estimation, certification and the round tail.
+func RunSEALSCtx(ctx context.Context, orig *aig.Graph, metric errmetric.Kind, errBound float64, opt Options) *Result {
+	return runMetric(ctx, sealsFlow, orig, metric, errBound, opt)
+}
+
+// RunSEALSWithComparatorCtx is RunSEALSCtx with a caller-supplied
+// comparator.
+func RunSEALSWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.Comparator, errBound float64, opt Options, start time.Time) *Result {
+	return run(ctx, sealsFlow, orig, cmp, errBound, opt, start)
+}
+
+// runMetric builds the comparator for metric over the options' pattern
+// set and runs flow f.
+func runMetric(ctx context.Context, f flow, orig *aig.Graph, metric errmetric.Kind, errBound float64, opt Options) *Result {
+	start := time.Now()
+	cmp := errmetric.NewComparator(metric, orig, opt.Patterns(orig))
+	return run(ctx, f, orig, cmp, errBound, opt, start)
+}
+
+// run is Algorithm 1: each round simulates the accepted circuit,
+// generates and estimates candidate LACs, then either applies the
+// single best one (every SEALS round, and AccALS's improvement
+// technique 1 close to the bound) or selects the top set, its
+// conflict-free subset and the independent and random sets, duels
+// them and reverts a negative set (technique 2). MaxED rounds are then
+// SAT-certified, and one shared tail publishes the round.
+func run(ctx context.Context, f flow, orig *aig.Graph, cmp *errmetric.Comparator, errBound float64, opt Options, start time.Time) *Result {
 	if start.IsZero() {
 		start = time.Now()
 	}
 	ctl := runctl.NewController(ctx, opt.Deadline, opt.MaxRuntime, start)
-	l := newLoop(orig, cmp, errBound, opt)
+	l := newLoop(f, orig, cmp, errBound, opt)
 	// Joined on every exit rather than after the loop, so that a
 	// panicking Progress callback (recovered by runctl.Guard at the
 	// public API boundary) cannot leak the prefetch goroutine and the
@@ -236,7 +254,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 			break
 		}
 		l.estimate(r)
-		if l.nearBound(r) {
+		if l.single || l.nearBound(r) {
 			l.singleLAC(r)
 		} else {
 			l.selectSets(r)

@@ -12,7 +12,9 @@
 //     the better circuit,
 //
 // with the paper's two improvement techniques: single-LAC fallback
-// near the error bound, and revert-on-negative-set.
+// near the error bound, and revert-on-negative-set. The same loop runs
+// the SEALS single-selection baseline (RunSEALSCtx), which applies only
+// the best LAC on every round.
 package core
 
 import (
@@ -128,9 +130,9 @@ func (p Params) fillDefaults(numAnds int) Params {
 
 // StagnationRounds is the number of consecutive rounds without
 // progress (no size reduction and no error movement) after which the
-// AccALS flow stops with StopReason Stagnated. RoundStats.NoProgress
-// exposes the live counter, so a Stagnated stop is explainable from
-// the round trajectory.
+// AccALS flow stops with StopReason Stagnated; the SEALS flow stops
+// after 2. RoundStats.NoProgress exposes the live counter, so a
+// Stagnated stop is explainable from the round trajectory.
 const StagnationRounds = 4
 
 // RoundStats records what happened in one synthesis round, feeding the
@@ -176,7 +178,8 @@ type RoundStats struct {
 	// NoProgress is the stagnation-guard state after this round: the
 	// number of consecutive rounds (including this one) that neither
 	// shrank the circuit nor moved the error. The run stops with
-	// StopReason Stagnated when it reaches StagnationRounds.
+	// StopReason Stagnated when it reaches the flow's threshold
+	// (StagnationRounds for AccALS, 2 for SEALS).
 	NoProgress    int
 	RoundDuration time.Duration
 	// Graph is the circuit produced by this round. It is only set on
@@ -184,6 +187,14 @@ type RoundStats struct {
 	// consumers can inspect or map it) and is nil in Result.Rounds to
 	// avoid retaining every intermediate circuit.
 	Graph *aig.Graph
+}
+
+// Adoptable reports whether the round's circuit may seed a resumed
+// run: its measured error is within bound and, under MaxED, its SAT
+// certification passed. The loop rejects any other round, so a
+// checkpoint of it would resume the run off its trajectory.
+func (rs RoundStats) Adoptable(bound float64) bool {
+	return rs.Error <= bound && (!rs.CertRan || rs.Certified)
 }
 
 // StopReason records why a run ended; see accals/internal/runctl.

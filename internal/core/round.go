@@ -17,10 +17,29 @@ import (
 	"accals/internal/simulate"
 )
 
-// loop is one AccALS run's fixed configuration and cross-round state.
-// Its methods are the stages of Algorithm 1, called in paper order by
-// RunWithComparatorCtx.
+// flow tells the synthesis flows apart on the shared round loop: the
+// ledger method name, single selection on every round, the number of
+// consecutive no-progress rounds that stops the run, and whether
+// Options.Workers overrides GenCfg.Workers.
+type flow struct {
+	method     string
+	single     bool
+	stagnation int
+	genWorkers bool
+}
+
+var (
+	accalsFlow = flow{method: "accals", stagnation: StagnationRounds, genWorkers: true}
+	// sealsFlow's selection is deterministic, so two no-progress rounds
+	// in a row mean convergence. Its generation keeps GenCfg as given:
+	// GenCfg.Workers 0 shards over every CPU.
+	sealsFlow = flow{method: "seals", single: true, stagnation: 2}
+)
+
+// loop is one run's fixed configuration and cross-round state. Its
+// methods are the stages of Algorithm 1, called in paper order by run.
 type loop struct {
+	flow
 	opt    Options
 	params Params
 	genCfg lac.Config
@@ -59,8 +78,9 @@ type loop struct {
 	// circuit, overlapped with the round tail's bookkeeping (progress
 	// clone, checkpointing). The next simulate stage joins it.
 	pend *pendingSim
-	// noProgress counts consecutive multi-LAC rounds that neither
-	// shrank the circuit nor moved the error (the stagnation guard).
+	// noProgress counts consecutive rounds that neither shrank the
+	// circuit nor moved the error (the stagnation guard); technique-1
+	// rounds leave it untouched.
 	noProgress int
 	result     *Result
 }
@@ -95,8 +115,9 @@ type roundState struct {
 	e            float64
 }
 
-func newLoop(orig *aig.Graph, cmp *errmetric.Comparator, bound float64, opt Options) *loop {
+func newLoop(f flow, orig *aig.Graph, cmp *errmetric.Comparator, bound float64, opt Options) *loop {
 	l := &loop{
+		flow:     f,
 		opt:      opt,
 		params:   opt.Params.fillDefaults(orig.NumAnds()),
 		genCfg:   opt.GenCfg,
@@ -109,7 +130,9 @@ func newLoop(orig *aig.Graph, cmp *errmetric.Comparator, bound float64, opt Opti
 		patCount: cmp.Patterns().NumPatterns(),
 		result:   &Result{},
 	}
-	l.genCfg.Workers = opt.Workers
+	if f.genWorkers {
+		l.genCfg.Workers = opt.Workers
+	}
 	l.parallel = l.runner.Workers() > 1
 	l.rec.SetWorkers(l.runner.Workers())
 	l.led = l.rec.Ledgering()
@@ -139,7 +162,7 @@ func (l *loop) emitMeta(g *aig.Graph, round0 int, resumed bool) {
 	}
 	area, _ := mapping.AreaDelay(g)
 	l.rec.EmitMeta(obs.RunMeta{
-		Method:       "accals",
+		Method:       l.method,
 		Circuit:      l.orig.Name,
 		Metric:       strings.ToLower(l.cmp.Kind().String()),
 		Bound:        l.bound,
@@ -206,8 +229,7 @@ func (l *loop) generate(r *roundState) bool {
 }
 
 // estimate fills every candidate's ΔE with the configured estimator
-// (remote, exact or the change-propagation default) and sorts the
-// candidates by it.
+// (remote, exact or the change-propagation default).
 func (l *loop) estimate(r *roundState) {
 	switch {
 	case l.opt.Evaluators != nil:
@@ -217,7 +239,6 @@ func (l *loop) estimate(r *roundState) {
 	default:
 		l.est.EstimateAllRec(r.g, r.simRes, l.cmp, r.cands, l.rec)
 	}
-	sortByDeltaE(r.cands)
 }
 
 // nearBound reports whether improvement technique 1 applies: the
@@ -226,12 +247,14 @@ func (l *loop) nearBound(r *roundState) bool {
 	return r.eG > l.params.LE*l.bound && !l.params.DisableImprovements
 }
 
-// singleLAC is improvement technique 1: close to the error bound the
-// round applies only the best candidate.
+// singleLAC applies only the best candidate: on every SEALS round, and
+// as AccALS's improvement technique 1 once close to the error bound.
 func (l *loop) singleLAC(r *roundState) {
-	l.rec.GuardSingleLAC()
-	r.rs.GuardSingle = true
-	r.applied = r.cands[:1]
+	if !l.single {
+		l.rec.GuardSingleLAC()
+		r.rs.GuardSingle = true
+	}
+	r.applied = []*lac.LAC{bestLAC(r.cands)}
 	l.apply(r)
 	r.e = l.measure(r, r.applied)
 	r.rs.EstimatedErr = estimatedError(r.eG, r.applied)
@@ -239,10 +262,12 @@ func (l *loop) singleLAC(r *roundState) {
 
 // selectSets builds the round's two candidate sets: the Eq. (2) top
 // set and its conflict-free subset L_sol (Sections II-B, II-C), then
-// the MIS-based independent set (II-D) and the seeded random set.
+// the MIS-based independent set (II-D) and the seeded random set. It
+// sorts the candidates by ΔE first.
 func (l *loop) selectSets(r *roundState) {
 	round := r.rs.Round
 	r.rs.MultiRound = true
+	sortByDeltaE(r.cands)
 	sp := l.rec.StartPhase(round, obs.PhaseConflictGraph)
 	lTop := obtainTopSet(r.cands, r.eG, l.bound, l.params.RRef)
 	r.rs.TopSize = len(lTop)
@@ -368,9 +393,10 @@ func (l *loop) finishRound(r *roundState) (runctl.StopReason, bool) {
 	// that neither shrink the circuit nor move the error; a few such
 	// rounds in a row means convergence. The counter is updated before
 	// the stats are published so RoundStats.NoProgress explains an
-	// upcoming Stagnated stop. A single-LAC (technique 1) round leaves
-	// the counter untouched: it neither advances nor resets a
-	// stagnation streak. Changing that would move trajectories.
+	// upcoming Stagnated stop. A technique-1 round leaves the counter
+	// untouched: it neither advances nor resets a stagnation streak.
+	// Changing that would move trajectories. SEALS rounds are not
+	// technique-1 rounds and do update it.
 	if !r.rs.GuardSingle {
 		if r.gNew.NumAnds() >= r.g.NumAnds() && r.e <= r.eG {
 			l.noProgress++
@@ -417,7 +443,7 @@ func (l *loop) finishRound(r *roundState) (runctl.StopReason, bool) {
 		// refuted on an unsampled input, or the conflict budget ran
 		// out): reject the round, keep the last certified circuit.
 		return runctl.Uncertified, true
-	case l.noProgress >= StagnationRounds:
+	case l.noProgress >= l.stagnation:
 		return runctl.Stagnated, true
 	}
 	return runctl.Bounded, false
@@ -426,7 +452,7 @@ func (l *loop) finishRound(r *roundState) (runctl.StopReason, bool) {
 // startPrefetch simulates the round's circuit on a background goroutine
 // when a next round will run on it and there are cores to overlap.
 func (l *loop) startPrefetch(r *roundState) {
-	if !l.parallel || r.e > l.bound || r.rs.Round+1 >= l.params.MaxRounds || l.noProgress >= StagnationRounds {
+	if !l.parallel || r.e > l.bound || r.rs.Round+1 >= l.params.MaxRounds || l.noProgress >= l.stagnation {
 		return
 	}
 	p := &pendingSim{g: r.gNew, done: make(chan struct{})}

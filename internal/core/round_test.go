@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"accals/internal/aig"
 	"accals/internal/circuits"
 	"accals/internal/errmetric"
 	"accals/internal/runctl"
@@ -19,7 +20,7 @@ func TestFinishRoundStagnationCounter(t *testing.T) {
 	g := circuits.ArrayMult(4)
 	smaller := circuits.ArrayMult(3)
 	cmp := errmetric.NewComparator(errmetric.ER, g, simulate.NewPatterns(g.NumPIs(), 64, 1))
-	l := newLoop(g, cmp, 0.1, Options{Workers: 1})
+	l := newLoop(accalsFlow, g, cmp, 0.1, Options{Workers: 1})
 	steps := []struct {
 		guard  bool
 		shrink bool
@@ -50,5 +51,28 @@ func TestFinishRoundStagnationCounter(t *testing.T) {
 	r := &roundState{rs: RoundStats{Round: len(steps)}, g: g, gNew: g}
 	if why, stop := l.finishRound(r); !stop || why != runctl.Stagnated {
 		t.Fatalf("round %d: stop %v (%v), want Stagnated", len(steps), stop, why)
+	}
+}
+
+// TestFinishRoundSEALSStagnation pins the SEALS flow's tail: its
+// single-LAC rounds are not technique-1 rounds, so they update the
+// stagnation counter, and two no-progress rounds in a row stop the run
+// after publishing the second one.
+func TestFinishRoundSEALSStagnation(t *testing.T) {
+	g := circuits.ArrayMult(4)
+	smaller := circuits.ArrayMult(3)
+	cmp := errmetric.NewComparator(errmetric.ER, g, simulate.NewPatterns(g.NumPIs(), 64, 1))
+	l := newLoop(sealsFlow, g, cmp, 0.1, Options{Workers: 1})
+	for i, gNew := range []*aig.Graph{g, smaller, g} {
+		if _, stop := l.finishRound(&roundState{rs: RoundStats{Round: i}, g: g, gNew: gNew}); stop {
+			t.Fatalf("round %d: run stopped early", i)
+		}
+	}
+	why, stop := l.finishRound(&roundState{rs: RoundStats{Round: 3}, g: g, gNew: g})
+	if !stop || why != runctl.Stagnated {
+		t.Fatalf("round 3: stop %v (%v), want Stagnated", stop, why)
+	}
+	if n := len(l.result.Rounds); n != 4 || l.result.Rounds[3].NoProgress != 2 {
+		t.Fatalf("published %d rounds, last NoProgress %d; want 4 rounds ending at 2", n, l.result.Rounds[n-1].NoProgress)
 	}
 }

@@ -11,19 +11,34 @@ import (
 	"accals/internal/mis"
 )
 
-// sortByDeltaE orders LACs by ascending estimated error increase,
-// breaking ties by larger gain, then by target id for determinism.
+// CandidateLess is the order both flows rank candidate LACs by:
+// ascending estimated error increase, then larger gain, then smaller
+// target id for determinism.
+func CandidateLess(a, b *lac.LAC) bool {
+	if a.DeltaE != b.DeltaE {
+		return a.DeltaE < b.DeltaE
+	}
+	if a.Gain != b.Gain {
+		return a.Gain > b.Gain
+	}
+	return a.Target < b.Target
+}
+
+// sortByDeltaE stably sorts LACs by CandidateLess.
 func sortByDeltaE(lacs []*lac.LAC) {
-	sort.SliceStable(lacs, func(i, j int) bool {
-		a, b := lacs[i], lacs[j]
-		if a.DeltaE != b.DeltaE {
-			return a.DeltaE < b.DeltaE
+	sort.SliceStable(lacs, func(i, j int) bool { return CandidateLess(lacs[i], lacs[j]) })
+}
+
+// bestLAC returns the first LAC of the sortByDeltaE order in one scan:
+// the earliest candidate no other candidate precedes.
+func bestLAC(cands []*lac.LAC) *lac.LAC {
+	best := cands[0]
+	for _, c := range cands[1:] {
+		if CandidateLess(c, best) {
+			best = c
 		}
-		if a.Gain != b.Gain {
-			return a.Gain > b.Gain
-		}
-		return a.Target < b.Target
-	})
+	}
+	return best
 }
 
 // obtainTopSet implements ObtainTopSet (Section II-B): it returns the

@@ -231,3 +231,22 @@ func TestDefaultParamsScaling(t *testing.T) {
 		t.Error("paper defaults wrong")
 	}
 }
+
+// TestBestLACMatchesSortHead checks the single-selection min-scan
+// against its oracle, the head of the stable sort, on candidate lists
+// dense with ties in every key (ΔE, gain and target), where only the
+// input order separates equal candidates.
+func TestBestLACMatchesSortHead(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		cands := make([]*lac.LAC, 1+rng.Intn(30))
+		for i := range cands {
+			cands[i] = &lac.LAC{Target: rng.Intn(4), Gain: rng.Intn(3), DeltaE: float64(rng.Intn(3)) * 0.01}
+		}
+		best := bestLAC(cands)
+		sortByDeltaE(cands)
+		if best != cands[0] {
+			t.Fatalf("trial %d: bestLAC picked %+v, sort head is %+v", trial, *best, *cands[0])
+		}
+	}
+}

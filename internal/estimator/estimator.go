@@ -53,27 +53,14 @@ func New(workers int) *Estimator {
 // Workers returns the resolved worker count.
 func (e *Estimator) Workers() int { return e.workers }
 
-// EstimateAll computes the estimated error increase ΔE for every
+// EstimateAllRec computes the estimated error increase ΔE for every
 // candidate LAC and stores it in each LAC's DeltaE field. It returns
 // the current error of g with respect to the comparator's reference.
 // res must be the simulation of g under the comparator's pattern set.
-func EstimateAll(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, lacs []*lac.LAC) float64 {
-	return EstimateAllRec(g, res, cmp, lacs, nil)
-}
-
-// EstimateAllRec is EstimateAll with instrumentation: the batch
-// estimation runs under an estimate-phase span and the candidate
-// count feeds the evaluated-LAC counter. rec may be nil. The
-// package-level functions run sequentially; flows with a worker
-// budget hold an Estimator instead.
-func EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, lacs []*lac.LAC, rec *obs.Recorder) float64 {
-	return New(1).EstimateAllRec(g, res, cmp, lacs, rec)
-}
-
-// EstimateAllRec estimates every candidate's ΔE, sharding the per-
-// output propagation passes across the Estimator's workers. See the
-// package-level EstimateAllRec for the contract; results are
-// bit-identical at any worker count.
+// The batch runs under an estimate-phase span and the candidate count
+// feeds the evaluated-LAC counter; rec may be nil. The per-output
+// propagation passes are sharded across the Estimator's workers, and
+// results are bit-identical at any worker count.
 func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, lacs []*lac.LAC, rec *obs.Recorder) float64 {
 	sp := rec.StartSpan(obs.PhaseEstimate)
 	defer sp.End()
@@ -404,25 +391,14 @@ func (p *propagator) propagateToFanin(outMask simulate.Vec, to, sibling aig.Lit)
 	}
 }
 
-// EstimateAllExact fills DeltaE for every candidate with its exact
+// EstimateAllExactRec fills DeltaE for every candidate with its exact
 // (pattern-set) error increase, by resimulating each candidate's
-// fanout cone. It is typically one to two orders of magnitude slower
-// than EstimateAll and exists for validation and for the estimator
-// ablation study.
-func EstimateAllExact(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, lacs []*lac.LAC) float64 {
-	return EstimateAllExactRec(g, res, cmp, lacs, nil)
-}
-
-// EstimateAllExactRec is EstimateAllExact with instrumentation under
-// the estimate-phase span. rec may be nil.
-func EstimateAllExactRec(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, lacs []*lac.LAC, rec *obs.Recorder) float64 {
-	return New(1).EstimateAllExactRec(g, res, cmp, lacs, rec)
-}
-
-// EstimateAllExactRec is the exact mode sharded across candidates:
-// each worker resimulates the fanout cones of its LAC range. Each
-// candidate's score is computed independently from shared read-only
-// state, so results are identical at any worker count.
+// fanout cone, under the estimate-phase span (rec may be nil). It is
+// typically one to two orders of magnitude slower than EstimateAllRec
+// and exists for validation and for the estimator ablation study.
+// Workers shard the candidates; each score is computed independently
+// from shared read-only state, so results are identical at any worker
+// count.
 func (e *Estimator) EstimateAllExactRec(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, lacs []*lac.LAC, rec *obs.Recorder) float64 {
 	sp := rec.StartSpan(obs.PhaseEstimate)
 	defer sp.End()

@@ -79,7 +79,7 @@ func TestEstimateExactOnTrees(t *testing.T) {
 		cmp := errmetric.NewComparator(kind, g, p)
 		res := simulate.MustRun(g, p)
 		cands := lac.Generate(g, res, lac.Config{EnableResub: true})
-		EstimateAll(g, res, cmp, cands)
+		New(1).EstimateAllRec(g, res, cmp, cands, nil)
 		for _, l := range cands {
 			want := ExactDeltaE(g, res, cmp, l)
 			if math.Abs(l.DeltaE-want) > 1e-12 {
@@ -95,7 +95,7 @@ func TestEstimateCloseOnReconvergent(t *testing.T) {
 	// sensibly (zero-deviation LACs estimate to exactly zero).
 	g := circuits.ArrayMult(4)
 	res, cmp, cands := setup(t, g, errmetric.ER)
-	curErr := EstimateAll(g, res, cmp, cands)
+	curErr := New(1).EstimateAllRec(g, res, cmp, cands, nil)
 	if curErr != 0 {
 		t.Fatalf("current error of the original circuit = %g", curErr)
 	}
@@ -123,12 +123,12 @@ func TestEstimateAllERMatchesWordLevelPath(t *testing.T) {
 	cmp := errmetric.NewComparator(errmetric.ER, g, p)
 	res := simulate.MustRun(g, p)
 	cands := lac.Generate(g, res, lac.Config{EnableResub: true})
-	EstimateAll(g, res, cmp, cands)
+	New(1).EstimateAllRec(g, res, cmp, cands, nil)
 	for _, l := range cands {
 		// For a single-output circuit ER equals NMED (max value 1).
 		cmpN := errmetric.NewComparator(errmetric.NMED, g, p)
 		l2 := &lac.LAC{Target: l.Target, SNs: l.SNs, Fn: l.Fn, Gain: l.Gain}
-		EstimateAll(g, res, cmpN, []*lac.LAC{l2})
+		New(1).EstimateAllRec(g, res, cmpN, []*lac.LAC{l2}, nil)
 		if math.Abs(l.DeltaE-l2.DeltaE) > 1e-12 {
 			t.Errorf("%v: ER path %g, word path %g", l, l.DeltaE, l2.DeltaE)
 		}
@@ -148,7 +148,7 @@ func TestEstimateDeadLACHasZeroDelta(t *testing.T) {
 	// Wire LAC replacing x by itself-equivalent AND(a,b) via resub on
 	// (a, b): zero deviation.
 	l := &lac.LAC{Target: x.Node(), SNs: []int{a.Node(), b.Node()}, Fn: lac.Fn{Kind: lac.FnAnd}}
-	EstimateAll(g, res, cmp, []*lac.LAC{l})
+	New(1).EstimateAllRec(g, res, cmp, []*lac.LAC{l}, nil)
 	if l.DeltaE != 0 {
 		t.Fatalf("identical-function LAC has DeltaE = %g", l.DeltaE)
 	}
@@ -160,7 +160,7 @@ func TestEstimateMHDExactOnTrees(t *testing.T) {
 	cmp := errmetric.NewComparator(errmetric.MHD, g, p)
 	res := simulate.MustRun(g, p)
 	cands := lac.Generate(g, res, lac.Config{EnableResub: true})
-	EstimateAll(g, res, cmp, cands)
+	New(1).EstimateAllRec(g, res, cmp, cands, nil)
 	for _, l := range cands {
 		want := ExactDeltaE(g, res, cmp, l)
 		if math.Abs(l.DeltaE-want) > 1e-12 {
@@ -175,7 +175,7 @@ func TestRunUnderMHD(t *testing.T) {
 	cmp := errmetric.NewComparator(errmetric.MHD, g, p)
 	res := simulate.MustRun(g, p)
 	cands := lac.Generate(g, res, lac.Config{EnableResub: true})
-	cur := EstimateAll(g, res, cmp, cands)
+	cur := New(1).EstimateAllRec(g, res, cmp, cands, nil)
 	if cur != 0 {
 		t.Fatalf("fresh circuit error %g", cur)
 	}

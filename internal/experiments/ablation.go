@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"accals/internal/core"
@@ -79,9 +80,9 @@ func Ablation(cfg Config) []AblationRow {
 			}
 			var res *core.Result
 			if v.seals {
-				res = seals.RunWithComparator(g, cmp, c.bound, opt, time.Now())
+				res = seals.RunWithComparatorCtx(context.Background(), g, cmp, c.bound, opt, time.Now())
 			} else {
-				res = core.RunWithComparator(g, cmp, c.bound, opt, time.Now())
+				res = core.RunWithComparatorCtx(context.Background(), g, cmp, c.bound, opt, time.Now())
 			}
 			row := AblationRow{
 				Circuit: c.circuit,

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -112,8 +113,8 @@ func runPair(g *aig.Graph, metric errmetric.Kind, bound float64, cfg Config, see
 	}
 	pats := simulate.NewPatterns(g.NumPIs(), cfg.Patterns, cfg.Seed)
 	cmp := errmetric.NewComparator(metric, g, pats)
-	acc = core.RunWithComparator(g, cmp, bound, opt, time.Now())
-	sls = seals.RunWithComparator(g, cmp, bound, opt, time.Now())
+	acc = core.RunWithComparatorCtx(context.Background(), g, cmp, bound, opt, time.Now())
+	sls = seals.RunWithComparatorCtx(context.Background(), g, cmp, bound, opt, time.Now())
 	return acc, sls
 }
 

@@ -151,9 +151,6 @@ func (s *JobSpec) Validate() error {
 		}
 		return fail("bound %v out of range (0,1]", s.Bound)
 	}
-	if metric == errmetric.MaxED && s.method() != "accals" {
-		return fail("metric maxed requires method accals")
-	}
 	if s.Patterns < 0 {
 		return fail("patterns %d negative", s.Patterns)
 	}

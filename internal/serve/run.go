@@ -391,8 +391,8 @@ func (m *Manager) execute(j *job) (res *core.Result, runtime time.Duration, err 
 		if bundle != nil {
 			bundle.ObserveRound(rs.Round, rs.RoundDuration)
 		}
-		if rs.Graph == nil || rs.Error > spec.Bound {
-			return // rejected round: never checkpoint an over-bound circuit
+		if rs.Graph == nil || !rs.Adoptable(spec.Bound) {
+			return // rejected round: never checkpoint an over-bound or uncertified circuit
 		}
 		s := &checkpoint.Snapshot{
 			Round:   rs.Round,

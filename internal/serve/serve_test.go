@@ -14,6 +14,7 @@ import (
 	"accals/internal/checkpoint"
 	"accals/internal/core"
 	"accals/internal/faultinject"
+	"accals/internal/maxerr"
 )
 
 // smallSpec is a job that synthesises in tens of milliseconds.
@@ -118,7 +119,6 @@ func TestSubmitValidation(t *testing.T) {
 		{BLIF: "not blif", Metric: "er", Bound: 0.05},                     // unparsable inline circuit
 		{Circuit: "alu2", Metric: "maxed", Bound: 0.5},                    // maxed bound must be an integer
 		{Circuit: "alu2", Metric: "maxed", Bound: -1},                     // negative maxed bound
-		{Circuit: "alu2", Metric: "maxed", Bound: 2, Method: "seals"},     // maxed needs accals
 		// A zero-output circuit would NaN-poison the run and hang the
 		// job; it must be a 400 at admission instead.
 		{BLIF: ".model noout\n.inputs a\n.outputs\n.end\n", Metric: "er", Bound: 0.05},
@@ -133,6 +133,70 @@ func TestSubmitValidation(t *testing.T) {
 	// maxed with an integer bound and the accals method is a valid spec.
 	if err := (&JobSpec{Circuit: "rca8", Metric: "maxed", Bound: 4}).Validate(); err != nil {
 		t.Fatalf("valid maxed spec rejected: %v", err)
+	}
+	// SEALS runs on the certified loop too: a maxed SEALS job is
+	// accepted, and its result carries a SAT proof of the bound, also
+	// when a later round failed certification and stopped the run.
+	spec := JobSpec{Circuit: "alu2", Metric: "maxed", Bound: 2, Patterns: 256, Method: "seals"}
+	j, err := m.Submit(spec)
+	if err != nil {
+		t.Fatalf("maxed seals job rejected: %v", err)
+	}
+	fin := waitTerminal(t, m, j.ID, 60*time.Second)
+	if fin.State != StateDone {
+		t.Fatalf("maxed seals job: %s, stop %q (failure %q)", fin.State, fin.StopReason, fin.Failure)
+	}
+	res, err := m.Result(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := blif.Read(strings.NewReader(res.BLIF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := spec.graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := maxerr.Certify(final, orig, 2, -1)
+	if err != nil || !cert.Certified {
+		t.Fatalf("maxed seals result not certified within the bound: %+v, %v", cert, err)
+	}
+}
+
+// TestUncertifiedRoundNotCheckpointed runs a maxed job whose last
+// round passes the sampled bound but fails SAT certification. The
+// loop rejects that round, so the daemon must not snapshot it: a
+// recovered job would resume from it, and the loop would then reject
+// the uncertified start and fall back to the exact circuit.
+func TestUncertifiedRoundNotCheckpointed(t *testing.T) {
+	dir := t.TempDir()
+	m := openManager(t, Config{Dir: dir, MaxRunning: 1, CheckpointEvery: 1})
+	defer closeManager(t, m)
+	spec := JobSpec{Circuit: "rca8", Metric: "maxed", Bound: 100, Patterns: 256, Seed: 2}
+	j, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitTerminal(t, m, j.ID, 60*time.Second); fin.StopReason != "uncertified" {
+		t.Fatalf("job stopped %q, want uncertified", fin.StopReason)
+	}
+	// The same run through the library names the rejected round.
+	g, metric, ropt, err := buildOptions(spec, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := core.RunCtx(context.Background(), g, metric, spec.Bound, ropt).Rounds
+	last := rounds[len(rounds)-1]
+	if !last.CertRan || last.Certified {
+		t.Fatalf("library run's last round is not a failed certification: %+v", last)
+	}
+	snap, err := checkpoint.Latest(filepath.Join(dir, "jobs", j.ID, "ckpt"))
+	if err != nil {
+		t.Fatalf("no snapshot of the certified rounds: %v", err)
+	}
+	if snap.Round != last.Round-1 {
+		t.Fatalf("latest snapshot is round %d, want the last certified round %d", snap.Round, last.Round-1)
 	}
 }
 
