@@ -49,6 +49,7 @@
 package accals
 
 import (
+	"context"
 	"io"
 
 	"accals/internal/aig"
@@ -64,7 +65,6 @@ import (
 	"accals/internal/maxerr"
 	"accals/internal/obs"
 	"accals/internal/opt"
-	"accals/internal/seals"
 )
 
 // Graph is a combinational circuit represented as a structurally
@@ -127,7 +127,7 @@ func Synthesize(orig *Graph, metric Metric, bound float64, opt Options) *Result 
 // round loop and honours the same Options (a MaxED run is certified),
 // except that Options.Workers does not override GenCfg.Workers.
 func SynthesizeSEALS(orig *Graph, metric Metric, bound float64, opt Options) *Result {
-	return seals.Run(orig, metric, bound, opt)
+	return core.RunSEALSCtx(context.Background(), orig, metric, bound, opt)
 }
 
 // AMOSAOptions configures the evolutionary baseline.

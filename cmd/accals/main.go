@@ -18,9 +18,10 @@
 //
 // Long runs are interrupt-safe: SIGINT/SIGTERM stops the run after the
 // current round and the best-so-far circuit is still written to -out,
-// -aiger and -verilog. With -checkpoint the run snapshots its state
-// every -checkpoint-every rounds, and -resume restarts from the latest
-// valid snapshot:
+// -aiger and -verilog. With -checkpoint the run snapshots every
+// -checkpoint-every rounds, plus the last accepted round when it is
+// interrupted off the cadence; -resume restarts from the latest valid
+// snapshot (the accalsd daemon runs the same protocol, internal/session):
 //
 //	accals -circuit mtp8 -bound 0.05 -checkpoint ckpt/ -max-runtime 30s
 //	accals -circuit mtp8 -bound 0.05 -checkpoint ckpt/ -resume
@@ -29,7 +30,8 @@
 // per-round decision ledger, a config/environment manifest, the
 // end-of-run summary, a phase trace, and (past -bundle-slow-round)
 // auto-captured CPU/heap profiles — for offline analysis and
-// regression diffing with cmd/report:
+// regression diffing with cmd/report. A resumed run cuts the bundle's
+// ledger back to its snapshot, so no round is recorded twice:
 //
 //	accals -circuit mtp8 -bound 0.05 -bundle runs/mtp8
 //	report runs/mtp8
@@ -45,12 +47,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -72,7 +74,7 @@ import (
 	"accals/internal/obs"
 	"accals/internal/opt"
 	"accals/internal/runctl"
-	"accals/internal/seals"
+	"accals/internal/session"
 )
 
 // config holds the parsed command line. It is validated up front so
@@ -182,7 +184,7 @@ func (c *config) validate() error {
 	case c.circuit == "" && c.blifPath == "":
 		return errors.New("no input: use -circuit <name> or -blif <file> (-list shows benchmarks)")
 	}
-	metric, err := parseMetric(c.metricName)
+	metric, err := errmetric.Parse(c.metricName)
 	if err != nil {
 		return err
 	}
@@ -299,7 +301,7 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	metric, err := parseMetric(cfg.metricName)
+	metric, err := errmetric.Parse(cfg.metricName)
 	if err != nil {
 		return err
 	}
@@ -313,49 +315,51 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 		return err
 	}
 
-	ropt := core.Options{
-		NumPatterns: cfg.patterns,
-		PatternSeed: cfg.seed,
-		Params:      core.Params{Seed: cfg.seed, HasSeed: cfg.hasSeed},
-		MaxRuntime:  cfg.maxRuntime,
-		Workers:     cfg.workers,
-		CertBudget:  cfg.certBudget,
-	}
-	ropt.HasPatternSeed = cfg.hasSeed
-
 	rec, closeObs, err := setupObs(cfg, w)
 	if err != nil {
 		return err
 	}
 	defer closeObs()
-	rec.SetRunInfo(cfg.method, g.Name, cfg.metricName, cfg.bound, g.NumAnds())
-	ropt.Recorder = rec
 
-	var ckpt *checkpoint.Writer
-	if cfg.checkpointDir != "" {
-		ckpt, err = checkpoint.NewWriter(cfg.checkpointDir, cfg.checkpointEvery)
-		if err != nil {
-			return err
-		}
+	sess := &session.Session{
+		Graph:      g,
+		Metric:     metric,
+		MetricName: cfg.metricName,
+		Bound:      cfg.bound,
+		Method:     cfg.method,
+		Options: core.Options{
+			NumPatterns:    cfg.patterns,
+			PatternSeed:    cfg.seed,
+			HasPatternSeed: cfg.hasSeed,
+			Params:         core.Params{Seed: cfg.seed, HasSeed: cfg.hasSeed},
+			MaxRuntime:     cfg.maxRuntime,
+			Workers:        cfg.workers,
+			CertBudget:     cfg.certBudget,
+			Recorder:       rec,
+		},
+		Warn: func(err error) { fmt.Fprintf(os.Stderr, "accals: %v\n", err) },
 	}
-	var snap *checkpoint.Snapshot
-	if cfg.resume {
-		snap, err = prepareResume(cfg, g, &ropt)
+	defer sess.Close(nil)
+	if cfg.checkpointDir != "" {
+		ckpt, err := checkpoint.NewWriter(cfg.checkpointDir, cfg.checkpointEvery)
 		if err != nil {
 			return err
 		}
-		if reg := rec.Registry(); reg != nil && snap.Metrics != nil {
-			reg.RestoreCounters(snap.Metrics)
+		sess.Checkpoints = ckpt
+	}
+	if cfg.resume {
+		snap, err := sess.Resume()
+		if err != nil {
+			return err
 		}
 		fmt.Fprintf(w, "resuming:  round %d, error %.6f (from %s)\n",
-			ropt.Start.Round, snap.Error, cfg.checkpointDir)
+			snap.Round+1, snap.Error, cfg.checkpointDir)
 	}
 
 	// The evaluator pool is built after the resume snapshot is loaded:
-	// prepareResume adopts the snapshot's seed into ropt.PatternSeed, and
-	// the pool must ship the exact pattern set the run will use so remote
+	// Resume adopts the snapshot's seed as the pattern seed, and the
+	// pool must ship the exact pattern set the run will use so remote
 	// shards stay bit-identical to local evaluation.
-	evalCount := 0
 	if cfg.evaluators != "" {
 		var inj *faultinject.Injector
 		if cfg.evalFaults != "" {
@@ -372,80 +376,20 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 		if len(addrs) == 0 {
 			return errors.New("-evaluators lists no addresses")
 		}
-		pool := dispatch.NewPool(addrs, metric, g, ropt.Patterns(g), inj)
+		pool := dispatch.NewPool(addrs, metric, g, sess.Options.Patterns(g), inj)
 		defer pool.Close()
-		ropt.Evaluators = pool
-		evalCount = pool.Evaluators()
-		fmt.Fprintf(w, "evaluators: %d remote\n", evalCount)
+		sess.Options.Evaluators = pool
+		fmt.Fprintf(w, "evaluators: %d remote\n", pool.Evaluators())
 	}
 
-	// The run bundle is opened after the resume snapshot is loaded: a
-	// resumed run appends to the existing ledger, first truncating it to
-	// the byte offset the snapshot recorded so rounds the resume will
-	// re-execute do not appear twice. It must be attached before the run
-	// starts (AddSink is setup-time only).
-	var bundle *ledger.Bundle
-	bundleDone := false
+	// The run bundle is opened after the resume snapshot is loaded, so a
+	// resumed run cuts the ledger back to the snapshot. It carries its
+	// own phase trace unless -trace already routes one elsewhere.
 	if cfg.bundleDir != "" {
-		if cfg.resume {
-			trunc := int64(-1)
-			if snap != nil && snap.LedgerBytes > 0 {
-				trunc = snap.LedgerBytes
-			}
-			bundle, err = ledger.Resume(cfg.bundleDir, trunc)
-		} else {
-			bundle, err = ledger.Create(cfg.bundleDir)
-		}
-		if err != nil {
+		if err := sess.OpenBundle(cfg.bundleDir, os.Args, cfg.bundleSlowRound, cfg.tracePath == ""); err != nil {
 			return err
 		}
-		defer func() {
-			if !bundleDone {
-				_ = bundle.Close()
-			}
-		}()
-		rec.AddSink(bundle.Writer())
-		bundle.SetSlowRoundThreshold(cfg.bundleSlowRound)
-		// The bundle carries its own phase trace unless the user already
-		// routes one elsewhere with -trace.
-		if cfg.tracePath == "" {
-			tf, err := os.Create(bundle.Path(ledger.TraceFile))
-			if err != nil {
-				return err
-			}
-			bt := obs.NewTracer(tf, obs.TraceJSONL)
-			rec.AddTracer(bt)
-			prev := closeObs
-			closeObs = func() error {
-				terr := bt.Close()
-				if cerr := tf.Close(); cerr != nil && terr == nil {
-					terr = cerr
-				}
-				if perr := prev(); perr != nil {
-					return perr
-				}
-				return terr
-			}
-		}
-		m := ledger.Manifest{
-			CreatedAt:  time.Now(),
-			Command:    os.Args,
-			Circuit:    g.Name,
-			Method:     cfg.method,
-			Metric:     cfg.metricName,
-			Bound:      cfg.bound,
-			Seed:       ropt.Params.Seed,
-			Patterns:   cfg.patterns,
-			Workers:    cfg.workers,
-			Evaluators: evalCount,
-			TraceID:    rec.TraceID(),
-			Resumed:    cfg.resume,
-		}
-		m.FillEnvironment()
-		if err := bundle.WriteManifest(m); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "bundle:    %s\n", bundle.Dir())
+		fmt.Fprintf(w, "bundle:    %s\n", cfg.bundleDir)
 	}
 
 	// Trace context propagation: a traced run upgrades the evaluator
@@ -454,27 +398,15 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 	// above, the bundle's own trace just before this), and only then —
 	// an untraced run keeps the version-1 wire bytes and the zero-cost
 	// dispatch hot path.
-	if ropt.Evaluators != nil && rec.Tracing() {
-		ropt.Evaluators.TraceID = rec.TraceID()
-	}
 	if rec.Tracing() {
+		if sess.Options.Evaluators != nil {
+			sess.Options.Evaluators.TraceID = rec.TraceID()
+		}
 		fmt.Fprintf(w, "trace id:  %s\n", rec.TraceID())
 	}
 
-	// lastAccepted holds a ready-to-write snapshot of the newest
-	// accepted round; lastSaved is the newest round already on disk.
-	// Together they let an interrupted run persist its final accepted
-	// round even when the cadence would have skipped it.
-	var lastAccepted *checkpoint.Snapshot
-	lastSaved := -1
-	if ropt.Start != nil {
-		lastSaved = ropt.Start.Round - 1
-	}
 	lastProgress := time.Now()
-	progress := func(rs core.RoundStats) {
-		if bundle != nil {
-			bundle.ObserveRound(rs.Round, rs.RoundDuration)
-		}
+	sess.Options.Progress = func(rs core.RoundStats) {
 		if cfg.verbose {
 			kind := "multi "
 			if !rs.MultiRound {
@@ -488,62 +420,11 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 			fmt.Fprintf(os.Stderr, "accals: round %d err=%.6f ands=%d lacs=%d noprog=%d\n",
 				rs.Round, rs.Error, rs.NumAnds, rs.AppliedLACs, rs.NoProgress)
 		}
-		// Only adoptable rounds (within the bound and, under maxed,
-		// certified) are checkpointed, so the latest snapshot always
-		// restarts the run on the exact trajectory it was interrupted
-		// on. The snapshot is built for every such round (not just
-		// cadence rounds) so an interrupt can persist it off-cadence.
-		if ckpt != nil && rs.Graph != nil && rs.Adoptable(cfg.bound) {
-			s := &checkpoint.Snapshot{
-				Round:   rs.Round,
-				Error:   rs.Error,
-				Seed:    ropt.Params.Seed,
-				HasSeed: ropt.Params.HasSeed,
-				Metric:  cfg.metricName,
-				Bound:   cfg.bound,
-				Method:  cfg.method,
-			}
-			if reg := rec.Registry(); reg != nil {
-				s.Metrics = reg.CounterSnapshot()
-			}
-			if bundle != nil {
-				s.LedgerBytes = bundle.LedgerSize()
-			}
-			if err := s.SetGraph(rs.Graph); err != nil {
-				fmt.Fprintf(os.Stderr, "accals: checkpoint round %d: %v\n", rs.Round, err)
-				return
-			}
-			lastAccepted = s
-			if !ckpt.Due(rs.Round) {
-				return
-			}
-			if err := ckpt.Save(s); err != nil {
-				fmt.Fprintf(os.Stderr, "accals: checkpoint round %d: %v\n", rs.Round, err)
-				return
-			}
-			lastSaved = rs.Round
-		}
-	}
-	ropt.Progress = progress
-
-	var res *core.Result
-	switch cfg.method {
-	case "accals":
-		res = core.RunCtx(ctx, g, metric, cfg.bound, ropt)
-	case "seals":
-		res = seals.RunCtx(ctx, g, metric, cfg.bound, ropt)
 	}
 
-	// Checkpoint-on-signal: an interrupted run (SIGINT/SIGTERM or
-	// -max-runtime) force-saves its last accepted round even between
-	// cadence points, so resuming loses no completed work.
-	if ckpt != nil && res.StopReason.Interrupted() &&
-		lastAccepted != nil && lastAccepted.Round > lastSaved {
-		if err := ckpt.Save(lastAccepted); err != nil {
-			fmt.Fprintf(os.Stderr, "accals: final checkpoint round %d: %v\n", lastAccepted.Round, err)
-		} else {
-			fmt.Fprintf(w, "checkpoint: final snapshot at round %d (interrupted off-cadence)\n", lastAccepted.Round)
-		}
+	res := sess.Run(ctx)
+	if snap := sess.FinalSnapshot(); snap != nil {
+		fmt.Fprintf(w, "checkpoint: final snapshot at round %d (interrupted off-cadence)\n", snap.Round)
 	}
 
 	oa, od := mapping.AreaDelay(g)
@@ -569,37 +450,11 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 		fmt.Fprintf(w, "note:      run interrupted; outputs hold the best circuit found so far\n")
 	}
 
-	if cfg.summaryPath != "" || bundle != nil {
-		sum := ledger.RunSummary{
-			Circuit:        g.Name,
-			Method:         cfg.method,
-			Metric:         cfg.metricName,
-			Bound:          cfg.bound,
-			Error:          res.Error,
-			InitialAnds:    g.NumAnds(),
-			FinalAnds:      res.Final.NumAnds(),
-			Rounds:         len(res.Rounds),
-			LACsApplied:    res.LACsApplied,
-			RuntimeSeconds: res.Runtime.Seconds(),
-			StopReason:     res.StopReason.String(),
-			IndpWinRate:    res.IndpRatio(),
-			Obs:            rec.Summary(),
+	if cfg.summaryPath != "" {
+		if err := ledger.WriteJSON(cfg.summaryPath, sess.Summary(res)); err != nil {
+			return err
 		}
-		if cfg.summaryPath != "" {
-			err := writeFile(w, cfg.summaryPath, func(f *os.File) error {
-				enc := json.NewEncoder(f)
-				enc.SetIndent("", "  ")
-				return enc.Encode(sum)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if bundle != nil {
-			if err := bundle.WriteSummary(sum); err != nil {
-				return err
-			}
-		}
+		fmt.Fprintf(w, "wrote %s\n", cfg.summaryPath)
 	}
 
 	if cfg.outPath != "" {
@@ -620,16 +475,10 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 	}
 	// Surface trace- and ledger-sink write failures (ENOSPC, closed
 	// pipe) instead of silently shipping a truncated trace or ledger.
-	if err := closeObs(); err != nil {
+	if err := sess.Close(res); err != nil {
 		return err
 	}
-	if bundle != nil {
-		bundleDone = true
-		if err := bundle.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return closeObs()
 }
 
 // setupObs wires the observability flags into a recorder with trace
@@ -637,111 +486,65 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 // function is idempotent, flushes the trace files, shuts the servers
 // down, and reports the first trace write error. With no obs flag set
 // it returns a nil recorder (the flows' no-op path).
-func setupObs(cfg *config, w io.Writer) (*obs.Recorder, func() error, error) {
+func setupObs(cfg *config, w io.Writer) (_ *obs.Recorder, _ func() error, err error) {
 	if !cfg.wantsObs() {
 		return nil, func() error { return nil }, nil
 	}
 	rec := obs.NewRecorder()
-	var (
-		tracers []*obs.Tracer
-		files   []*os.File
-		servers []*obs.Server
-	)
-	var once sync.Once
-	var closeErr error
-	closeAll := func() error {
-		once.Do(func() {
-			for _, t := range tracers {
-				if err := t.Close(); err != nil && closeErr == nil {
-					closeErr = fmt.Errorf("trace: %w", err)
-				}
+	var closers []func() error
+	closeAll := sync.OnceValue(func() error {
+		var first error
+		for _, c := range closers {
+			if err := c(); err != nil && first == nil {
+				first = err
 			}
-			for _, f := range files {
-				if err := f.Close(); err != nil && closeErr == nil {
-					closeErr = fmt.Errorf("trace: %w", err)
-				}
-			}
-			for _, s := range servers {
-				_ = s.Close()
-			}
-		})
-		return closeErr
-	}
-	addTracer := func(path string, format obs.TraceFormat) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
 		}
-		files = append(files, f)
-		t := obs.NewTracer(f, format)
-		tracers = append(tracers, t)
+		return first
+	})
+	defer func() {
+		if err != nil {
+			_ = closeAll()
+		}
+	}()
+	for _, tr := range []struct {
+		path   string
+		format obs.TraceFormat
+	}{{cfg.tracePath, obs.TraceJSONL}, {cfg.traceChromePath, obs.TraceChrome}} {
+		if tr.path == "" {
+			continue
+		}
+		f, err := os.Create(tr.path)
+		if err != nil {
+			return nil, nil, err
+		}
+		t := obs.NewTracer(f, tr.format)
 		rec.AddTracer(t)
-		return nil
+		closers = append(closers, func() error {
+			if err := errors.Join(t.Close(), f.Close()); err != nil {
+				return fmt.Errorf("trace: %w", err)
+			}
+			return nil
+		})
 	}
-	if cfg.tracePath != "" {
-		if err := addTracer(cfg.tracePath, obs.TraceJSONL); err != nil {
-			_ = closeAll()
-			return nil, nil, err
+	for _, sv := range []struct {
+		addr    string
+		handler http.Handler
+		url     string
+	}{
+		{cfg.metricsAddr, rec.MetricsHandler(), "metrics:   http://%s/metrics\n"},
+		{cfg.pprofAddr, obs.PprofHandler(), "pprof:     http://%s/debug/pprof/\n"},
+	} {
+		if sv.addr == "" {
+			continue
 		}
-	}
-	if cfg.traceChromePath != "" {
-		if err := addTracer(cfg.traceChromePath, obs.TraceChrome); err != nil {
-			_ = closeAll()
-			return nil, nil, err
-		}
-	}
-	if cfg.metricsAddr != "" {
-		srv, err := obs.Serve(cfg.metricsAddr, rec.MetricsHandler())
+		srv, err := obs.Serve(sv.addr, sv.handler)
 		if err != nil {
-			_ = closeAll()
 			return nil, nil, err
 		}
-		servers = append(servers, srv)
-		fmt.Fprintf(w, "metrics:   http://%s/metrics\n", srv.Addr())
-	}
-	if cfg.pprofAddr != "" {
-		srv, err := obs.Serve(cfg.pprofAddr, obs.PprofHandler())
-		if err != nil {
-			_ = closeAll()
-			return nil, nil, err
-		}
-		servers = append(servers, srv)
-		fmt.Fprintf(w, "pprof:     http://%s/debug/pprof/\n", srv.Addr())
+		closers = append(closers, func() error { _ = srv.Close(); return nil })
+		fmt.Fprintf(w, sv.url, srv.Addr())
 	}
 	return rec, closeAll, nil
-}
-
-// prepareResume loads the latest snapshot, checks it belongs to this
-// run configuration, and installs it as the warm start.
-func prepareResume(cfg *config, g *aig.Graph, ropt *core.Options) (*checkpoint.Snapshot, error) {
-	snap, err := checkpoint.Latest(cfg.checkpointDir)
-	if err != nil {
-		return nil, err
-	}
-	if snap.Metric != cfg.metricName || snap.Bound != cfg.bound || snap.Method != cfg.method {
-		return nil, fmt.Errorf("snapshot in %s is from a different run (metric %s, bound %g, method %s); rerun with matching flags or a fresh -checkpoint dir",
-			cfg.checkpointDir, snap.Metric, snap.Bound, snap.Method)
-	}
-	if cfg.hasSeed && snap.Seed != cfg.seed {
-		return nil, fmt.Errorf("snapshot in %s was created with -seed %d, got -seed %d; matching seeds are required for an exact resume",
-			cfg.checkpointDir, snap.Seed, cfg.seed)
-	}
-	sg, err := snap.Graph()
-	if err != nil {
-		return nil, err
-	}
-	if sg.NumPIs() != g.NumPIs() || sg.NumPOs() != g.NumPOs() {
-		return nil, fmt.Errorf("snapshot circuit has %d PIs / %d POs but the input has %d / %d; wrong -checkpoint dir for this circuit?",
-			sg.NumPIs(), sg.NumPOs(), g.NumPIs(), g.NumPOs())
-	}
-	// Adopt the snapshot's seed so an unseeded resume continues the
-	// original trajectory.
-	ropt.Params.Seed = snap.Seed
-	ropt.Params.HasSeed = snap.HasSeed
-	ropt.PatternSeed = snap.Seed
-	ropt.HasPatternSeed = snap.HasSeed
-	ropt.Start = &core.StartState{Graph: sg, Round: snap.Round + 1}
-	return snap, nil
 }
 
 // writeFile creates path and runs the writer.
@@ -772,22 +575,6 @@ func loadCircuit(name, path string) (*aig.Graph, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return g, err
-}
-
-func parseMetric(s string) (errmetric.Kind, error) {
-	switch strings.ToLower(s) {
-	case "er":
-		return errmetric.ER, nil
-	case "nmed":
-		return errmetric.NMED, nil
-	case "mred":
-		return errmetric.MRED, nil
-	case "mhd":
-		return errmetric.MHD, nil
-	case "maxed":
-		return errmetric.MaxED, nil
-	}
-	return 0, fmt.Errorf("unknown metric %q (want er, nmed, mred, mhd or maxed)", s)
 }
 
 func pct(a, b int) float64 {

@@ -229,6 +229,17 @@ func TestRunCancelledContextStillWritesOutput(t *testing.T) {
 	}
 }
 
+// TestSetupObsFailureClosesTraces: a server that fails to bind after a
+// trace file is open returns the bind error, and the cleanup of the
+// already-open trace does not panic.
+func TestSetupObsFailureClosesTraces(t *testing.T) {
+	cfg := mustParse(t, "-circuit", "mtp8",
+		"-trace", filepath.Join(t.TempDir(), "trace.jsonl"), "-metrics-addr", "127.0.0.1:-1")
+	if _, _, err := setupObs(cfg, io.Discard); err == nil {
+		t.Fatal("unbindable -metrics-addr accepted")
+	}
+}
+
 func TestRunObservabilityOutputs(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.jsonl")

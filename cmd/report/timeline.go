@@ -327,12 +327,8 @@ func buildTimeline(spans []traceSpan) *traceTimeline {
 
 // readTraceID pulls the trace id out of the bundle manifest, if any.
 func readTraceID(dir string) string {
-	body, err := os.ReadFile(filepath.Join(dir, ledger.ManifestFile))
+	m, err := ledger.ReadManifest(filepath.Join(dir, ledger.ManifestFile))
 	if err != nil {
-		return ""
-	}
-	var m ledger.Manifest
-	if err := json.Unmarshal(body, &m); err != nil {
 		return ""
 	}
 	return m.TraceID

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"time"
 
@@ -105,13 +106,14 @@ type StartState struct {
 // DefaultPatterns is the default Monte-Carlo sample size.
 const DefaultPatterns = 2048
 
+// PatternBudget returns the Monte-Carlo pattern budget the run uses:
+// NumPatterns, or DefaultPatterns when it is unset.
+func (o Options) PatternBudget() int { return cmp.Or(o.NumPatterns, DefaultPatterns) }
+
 // Patterns builds the evaluation pattern set for g under the options:
 // exhaustive for small input counts, seeded Monte-Carlo otherwise.
 func (o Options) Patterns(g *aig.Graph) *simulate.Patterns {
-	n := o.NumPatterns
-	if n == 0 {
-		n = DefaultPatterns
-	}
+	n := o.PatternBudget()
 	seed := o.PatternSeed
 	if seed == 0 && !o.HasPatternSeed {
 		seed = 12345

@@ -72,17 +72,6 @@ type trajectoryRound struct {
 	Certified     bool   `json:"certified"`
 }
 
-func parseMetric(t *testing.T, name string) errmetric.Kind {
-	t.Helper()
-	for _, k := range []errmetric.Kind{errmetric.ER, errmetric.NMED, errmetric.MRED, errmetric.MHD, errmetric.MaxED} {
-		if strings.EqualFold(k.String(), name) {
-			return k
-		}
-	}
-	t.Fatalf("unknown metric %q", name)
-	return 0
-}
-
 // loadTrajectoryCorpus decodes every embedded corpus file, returning
 // the cell names (file names without extension) alongside the cells.
 func loadTrajectoryCorpus(t *testing.T) ([]string, []trajectoryCell) {
@@ -119,11 +108,15 @@ func runCell(t *testing.T, c trajectoryCell, workers int) trajectory {
 	if err != nil {
 		t.Fatal(err)
 	}
+	metric, err := errmetric.Parse(c.Metric)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := accalsFlow
 	if c.Method == "seals" {
 		f = sealsFlow
 	}
-	res := runMetric(context.Background(), f, g, parseMetric(t, c.Metric), c.Bound, Options{
+	res := runMetric(context.Background(), f, g, metric, c.Bound, Options{
 		NumPatterns: c.Patterns,
 		Workers:     workers,
 		Params:      Params{Seed: c.Seed, LE: c.LE, LD: c.LD},

@@ -18,6 +18,25 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+func TestParse(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Kind
+	}{
+		{"er", ER}, {"nmed", NMED}, {"mred", MRED}, {"mhd", MHD}, {"maxed", MaxED},
+		{"ER", ER}, {"NMed", NMED}, {"MaxED", MaxED},
+	} {
+		got, err := Parse(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("Parse(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	_, err := Parse("wce")
+	if err == nil || err.Error() != `unknown metric "wce" (want er, nmed, mred, mhd or maxed)` {
+		t.Errorf("Parse(\"wce\") error = %v", err)
+	}
+}
+
 func TestZeroErrorAgainstSelf(t *testing.T) {
 	g := circuits.RCA(4)
 	p := simulate.Exhaustive(g.NumPIs())

@@ -7,7 +7,6 @@ import (
 	"accals/internal/core"
 	"accals/internal/errmetric"
 	"accals/internal/lac"
-	"accals/internal/seals"
 	"accals/internal/simulate"
 )
 
@@ -80,7 +79,7 @@ func Ablation(cfg Config) []AblationRow {
 			}
 			var res *core.Result
 			if v.seals {
-				res = seals.RunWithComparatorCtx(context.Background(), g, cmp, c.bound, opt, time.Now())
+				res = core.RunSEALSWithComparatorCtx(context.Background(), g, cmp, c.bound, opt, time.Now())
 			} else {
 				res = core.RunWithComparatorCtx(context.Background(), g, cmp, c.bound, opt, time.Now())
 			}

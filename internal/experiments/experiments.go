@@ -17,7 +17,6 @@ import (
 	"accals/internal/core"
 	"accals/internal/errmetric"
 	"accals/internal/mapping"
-	"accals/internal/seals"
 	"accals/internal/simulate"
 )
 
@@ -114,7 +113,7 @@ func runPair(g *aig.Graph, metric errmetric.Kind, bound float64, cfg Config, see
 	pats := simulate.NewPatterns(g.NumPIs(), cfg.Patterns, cfg.Seed)
 	cmp := errmetric.NewComparator(metric, g, pats)
 	acc = core.RunWithComparatorCtx(context.Background(), g, cmp, bound, opt, time.Now())
-	sls = seals.RunWithComparatorCtx(context.Background(), g, cmp, bound, opt, time.Now())
+	sls = core.RunSEALSWithComparatorCtx(context.Background(), g, cmp, bound, opt, time.Now())
 	return acc, sls
 }
 

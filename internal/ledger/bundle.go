@@ -173,17 +173,19 @@ func (b *Bundle) Path(name string) string { return filepath.Join(b.dir, name) }
 
 // WriteManifest writes manifest.json.
 func (b *Bundle) WriteManifest(m Manifest) error {
-	return b.writeJSON(ManifestFile, m)
+	return WriteJSON(b.Path(ManifestFile), m)
 }
 
 // WriteSummary writes summary.json from any JSON-marshalable value
 // (the accals command uses RunSummary).
 func (b *Bundle) WriteSummary(v any) error {
-	return b.writeJSON(SummaryFile, v)
+	return WriteJSON(b.Path(SummaryFile), v)
 }
 
-func (b *Bundle) writeJSON(name string, v any) error {
-	f, err := os.Create(b.Path(name))
+// WriteJSON writes v to path as indented JSON, the format of every
+// JSON file in a bundle.
+func WriteJSON(path string, v any) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
@@ -191,10 +193,10 @@ func (b *Bundle) writeJSON(name string, v any) error {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
 		f.Close()
-		return fmt.Errorf("ledger: write %s: %w", name, err)
+		return fmt.Errorf("ledger: write %s: %w", path, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("ledger: write %s: %w", name, err)
+		return fmt.Errorf("ledger: write %s: %w", path, err)
 	}
 	return nil
 }

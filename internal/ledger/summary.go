@@ -35,27 +35,20 @@ type RunSummary struct {
 }
 
 // ReadSummary decodes a summary.json.
-func ReadSummary(path string) (*RunSummary, error) {
-	body, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s RunSummary
-	if err := json.Unmarshal(body, &s); err != nil {
-		return nil, fmt.Errorf("ledger: %s: %w", path, err)
-	}
-	return &s, nil
-}
+func ReadSummary(path string) (*RunSummary, error) { return readJSON[RunSummary](path) }
 
 // ReadManifest decodes a manifest.json.
-func ReadManifest(path string) (*Manifest, error) {
+func ReadManifest(path string) (*Manifest, error) { return readJSON[Manifest](path) }
+
+// readJSON decodes the bundle JSON file at path (see WriteJSON).
+func readJSON[T any](path string) (*T, error) {
 	body, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var m Manifest
-	if err := json.Unmarshal(body, &m); err != nil {
+	var v T
+	if err := json.Unmarshal(body, &v); err != nil {
 		return nil, fmt.Errorf("ledger: %s: %w", path, err)
 	}
-	return &m, nil
+	return &v, nil
 }

@@ -1,6 +1,7 @@
 package seals
 
 import (
+	"context"
 	"testing"
 
 	"accals/internal/circuits"
@@ -14,7 +15,7 @@ func TestRunRespectsErrorBound(t *testing.T) {
 	for _, kind := range []errmetric.Kind{errmetric.ER, errmetric.NMED} {
 		g := circuits.ArrayMult(4)
 		bound := 0.01
-		res := Run(g, kind, bound, core.Options{})
+		res := core.RunSEALSCtx(context.Background(), g, kind, bound, core.Options{})
 		if res.Error > bound {
 			t.Fatalf("%v: error %g exceeds bound", kind, res.Error)
 		}
@@ -31,7 +32,7 @@ func TestRunRespectsErrorBound(t *testing.T) {
 
 func TestRunAppliesOneLACPerRound(t *testing.T) {
 	g := circuits.CLA(8)
-	res := Run(g, errmetric.ER, 0.02, core.Options{})
+	res := core.RunSEALSCtx(context.Background(), g, errmetric.ER, 0.02, core.Options{})
 	for _, rs := range res.Rounds {
 		if rs.AppliedLACs != 1 {
 			t.Fatalf("round %d applied %d LACs", rs.Round, rs.AppliedLACs)
@@ -47,7 +48,7 @@ func TestAccALSUsesFewerRoundsThanSEALS(t *testing.T) {
 	// rounds (and hence the runtime) substantially at similar quality.
 	g := circuits.ArrayMult(4)
 	bound := 0.05
-	s := Run(g, errmetric.ER, bound, core.Options{})
+	s := core.RunSEALSCtx(context.Background(), g, errmetric.ER, bound, core.Options{})
 	a := core.Run(g, errmetric.ER, bound, core.Options{})
 	if len(a.Rounds) >= len(s.Rounds) {
 		t.Fatalf("AccALS rounds (%d) not fewer than SEALS rounds (%d)",

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"accals/internal/blif"
-	"accals/internal/core"
 	"accals/internal/faultinject"
 	"accals/internal/obs"
 )
@@ -265,11 +264,11 @@ func TestChaos(t *testing.T) {
 			continue
 		}
 		spec := accepted[j.ID]
-		g, metric, ropt, err := buildOptions(spec, cfg.DefaultWorkers, 0)
+		sess, err := newSession(spec, cfg.DefaultWorkers, 0)
 		if err != nil {
 			t.Fatalf("comparator options %s: %v", j.ID, err)
 		}
-		clean := core.RunCtx(context.Background(), g, metric, spec.Bound, ropt)
+		clean := sess.Run(context.Background())
 		var sb strings.Builder
 		if err := blif.Write(&sb, clean.Final); err != nil {
 			t.Fatal(err)

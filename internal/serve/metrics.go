@@ -107,7 +107,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		"Progress events published into the SSE fanout.")
 	for _, result := range []string{ckptSaved, ckptSkipped, ckptFailed} {
 		reg.Counter("accalsd_checkpoint_total",
-			"Per-job checkpoint snapshots by disposition (skipped = off-cadence or stale).", obs.L("result", result))
+			"Per-job checkpoint snapshots by disposition (skipped = adoptable round off the cadence).", obs.L("result", result))
 	}
 	m.ckptSave = reg.Histogram("accalsd_checkpoint_save_seconds",
 		"Checkpoint snapshot write latency (serialise, fsync, rename).", nil)
@@ -228,7 +228,7 @@ func (m *metrics) checkpoint(result string, d time.Duration) {
 		return
 	}
 	m.reg.Counter("accalsd_checkpoint_total",
-		"Per-job checkpoint snapshots by disposition (skipped = off-cadence or stale).", obs.L("result", result)).Inc()
+		"Per-job checkpoint snapshots by disposition (skipped = adoptable round off the cadence).", obs.L("result", result)).Inc()
 	if result == ckptSaved {
 		m.ckptSave.Observe(d.Seconds())
 	}

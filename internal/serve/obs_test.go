@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"accals/internal/core"
 	"accals/internal/faultinject"
 	"accals/internal/ledger"
 	"accals/internal/obs"
@@ -236,6 +237,31 @@ func TestBundleLifecycleAndDownload(t *testing.T) {
 
 	if err := m.WriteBundle("j-999999", io.Discard); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown job bundle: %v, want ErrNotFound", err)
+	}
+}
+
+// TestBundleManifestRecordsDefaultPatterns: a spec that leaves the
+// pattern budget unset runs with core.DefaultPatterns, and the
+// manifest must record that budget, not the spec's zero.
+func TestBundleManifestRecordsDefaultPatterns(t *testing.T) {
+	dir := t.TempDir()
+	m := openManager(t, Config{Dir: dir, MaxRunning: 1, Bundles: true})
+	defer closeManager(t, m)
+	spec := smallSpec("a")
+	spec.Patterns = 0
+	j, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitTerminal(t, m, j.ID, 30*time.Second); fin.State != StateDone {
+		t.Fatalf("job ended %s (failure %q)", fin.State, fin.Failure)
+	}
+	man, err := ledger.ReadManifest(filepath.Join(dir, "jobs", j.ID, "bundle", ledger.ManifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Patterns != core.DefaultPatterns {
+		t.Errorf("manifest records %d patterns, the run used %d", man.Patterns, core.DefaultPatterns)
 	}
 }
 

@@ -182,11 +182,11 @@ func TestUncertifiedRoundNotCheckpointed(t *testing.T) {
 		t.Fatalf("job stopped %q, want uncertified", fin.StopReason)
 	}
 	// The same run through the library names the rejected round.
-	g, metric, ropt, err := buildOptions(spec, 1, 0)
+	sess, err := newSession(spec, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := core.RunCtx(context.Background(), g, metric, spec.Bound, ropt).Rounds
+	rounds := core.RunCtx(context.Background(), sess.Graph, sess.Metric, sess.Bound, sess.Options).Rounds
 	last := rounds[len(rounds)-1]
 	if !last.CertRan || last.Certified {
 		t.Fatalf("library run's last round is not a failed certification: %+v", last)
@@ -456,11 +456,11 @@ func TestDrainSnapshotsAndRecoverResumesByteIdentically(t *testing.T) {
 
 	// Byte-identity: an uninterrupted run of the same spec produces
 	// the same final circuit.
-	g, metric, ropt, err := buildOptions(spec, 1, 0)
+	sess, err := newSession(spec, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := core.RunCtx(context.Background(), g, metric, spec.Bound, ropt)
+	clean := sess.Run(context.Background())
 	var sb strings.Builder
 	if err := blif.Write(&sb, clean.Final); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"accals/internal/errmetric"
 	"accals/internal/opt"
 	"accals/internal/runctl"
-	"accals/internal/seals"
 )
 
 // StopReason explains why a synthesis run stopped. A run ends either
@@ -103,7 +102,7 @@ func SynthesizeSEALSCtx(ctx context.Context, orig *Graph, metric Metric, bound f
 	if err := validateRun(orig, metric, bound); err != nil {
 		return nil, err
 	}
-	return seals.RunCtx(ctx, orig, metric, bound, opt), nil
+	return core.RunSEALSCtx(ctx, orig, metric, bound, opt), nil
 }
 
 // SynthesizeAMOSACtx is SynthesizeAMOSA with the same cancellation,
