@@ -197,7 +197,8 @@ func TestTrajectoryGolden(t *testing.T) {
 
 // TestTrajectoryCorpusCoverage guards the corpus itself: between them
 // the cells must exercise every branch of the round loop the golden
-// test is meant to pin, and every metric under both flows.
+// test is meant to pin, every metric but MRED under both flows, and
+// MRED under AccALS.
 func TestTrajectoryCorpusCoverage(t *testing.T) {
 	_, cells := loadTrajectoryCorpus(t)
 	var guard, reverted, duel, certified, multi bool
@@ -218,6 +219,9 @@ func TestTrajectoryCorpusCoverage(t *testing.T) {
 				t.Errorf("corpus has no %s cell for method %q", m, method)
 			}
 		}
+	}
+	if !metrics["mred"] {
+		t.Error("corpus has no mred cell for AccALS")
 	}
 	for name, ok := range map[string]bool{"guard-single": guard, "reverted": reverted, "duel": duel, "certified": certified, "multi-LAC": multi} {
 		if !ok {

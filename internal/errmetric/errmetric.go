@@ -100,10 +100,11 @@ func (k Kind) IsWordLevel() bool { return k == NMED || k == MRED || k == MaxED }
 // only the candidate.
 //
 // A Comparator is immutable after construction: every evaluation
-// method (Error, ErrorFromPOs, ErrorFromPOsXor, ErrorWithFlips,
-// NewBaseEval) only reads the cached reference state, so a single
-// Comparator may be shared by concurrent goroutines — the parallel
-// engine relies on this to measure duel candidates simultaneously.
+// method (Error, ErrorFromPOs, ErrorFromPOsXor, NewBaseEval and the
+// incremental *Flips, *Deltas and *Dists scorers) only reads the
+// cached reference state, so a single Comparator may be shared by
+// concurrent goroutines — the parallel engine relies on this to
+// measure duel candidates simultaneously.
 type Comparator struct {
 	kind     Kind
 	patterns *simulate.Patterns
@@ -291,26 +292,13 @@ func (c *Comparator) ErrorFromPOsXor(base, flip []simulate.Vec) float64 {
 				av |= (row[j] >> uint(b) & 1) << uint(j)
 			}
 			ev := c.exactVals[w<<6+b]
-			var diff uint64
-			if av > ev {
-				diff = av - ev
-			} else {
-				diff = ev - av
-			}
-			switch c.kind {
-			case NMED:
-				sum += float64(diff) / c.maxVal
-			case MRED:
-				den := float64(ev)
-				if den < 1 {
-					den = 1
+			if c.kind == MaxED {
+				if d := distance(av, ev); d > maxDiff {
+					maxDiff = d
 				}
-				sum += float64(diff) / den
-			case MaxED:
-				if diff > maxDiff {
-					maxDiff = diff
-				}
+				continue
 			}
+			sum += c.contribution(av, ev)
 		}
 	}
 	if c.kind == MaxED {
@@ -361,15 +349,20 @@ func (c *Comparator) NewBaseEval(pos []simulate.Vec) *BaseEval {
 	return b
 }
 
-// contribution returns one pattern's error contribution for the
-// word-level metrics.
-func (c *Comparator) contribution(av, ev uint64) float64 {
-	var diff uint64
+// distance returns one pattern's error distance |approx - exact|.
+func distance(av, ev uint64) uint64 {
 	if av > ev {
-		diff = av - ev
-	} else {
-		diff = ev - av
+		return av - ev
 	}
+	return ev - av
+}
+
+// contribution returns one pattern's error contribution for the mean
+// word-level metrics. It and distance are the only statement of the
+// per-pattern metric formula; every word-level evaluation path calls
+// them.
+func (c *Comparator) contribution(av, ev uint64) float64 {
+	diff := distance(av, ev)
 	switch c.kind {
 	case NMED:
 		return float64(diff) / c.maxVal
@@ -391,6 +384,15 @@ func (c *Comparator) contribution(av, ev uint64) float64 {
 // cheap under NMED); it only engages as a guard on very large
 // Monte-Carlo sample sizes.
 const flipSampleBudget = 16384
+
+// sampleStride returns the word stride at which a flip set of total
+// changed patterns is sampled: 1 (every word) within flipSampleBudget.
+func sampleStride(total int) int {
+	if total > flipSampleBudget {
+		return (total + flipSampleBudget - 1) / flipSampleBudget
+	}
+	return 1
+}
 
 // ErrorWithFlips returns the error of base XOR flips (flip[j] may be
 // nil), touching only flipped patterns. It must only be used with the
@@ -425,10 +427,7 @@ func (c *Comparator) ErrorWithFlips(b *BaseEval, flips []simulate.Vec) float64 {
 	if total == 0 {
 		return b.Err
 	}
-	stride := 1
-	if total > flipSampleBudget {
-		stride = (total + flipSampleBudget - 1) / flipSampleBudget
-	}
+	stride := sampleStride(total)
 
 	delta := 0.0
 	sampled := 0
@@ -497,6 +496,106 @@ func (c *Comparator) MaxErrorWithFlips(b *BaseEval, flips []simulate.Vec) float6
 	return float64(g)
 }
 
+// FlipDeltas sets delta[p], for every pattern p in pats, to the change
+// in pattern p's error contribution when the base circuit's output
+// bits x[p] flip: the per-pattern term ErrorWithFlips sums. Like
+// ErrorWithFlips it requires a mean word-level metric (NMED/MRED).
+// Entries of delta outside pats are left untouched.
+func (c *Comparator) FlipDeltas(b *BaseEval, pats simulate.Vec, x []uint64, delta []float64) {
+	if !c.kind.IsWordLevel() || c.kind == MaxED {
+		panic("errmetric: FlipDeltas requires a mean word-level metric (NMED/MRED)")
+	}
+	for w, m := range pats {
+		for ; m != 0; m &= m - 1 {
+			pat := w<<6 + bits.TrailingZeros64(m)
+			av, ev := b.Vals[pat], c.exactVals[pat]
+			delta[pat] = c.contribution(av^x[pat], ev) - c.contribution(av, ev)
+		}
+	}
+}
+
+// ErrorWithDeltas returns the error of the base circuit with the
+// patterns in changed flipped, where delta[p] is pattern p's FlipDeltas
+// term. It samples the same words as ErrorWithFlips and sums the same
+// terms in the same order, so on the equivalent flip masks the two are
+// bit-identical; it only saves re-deriving each term, which lets
+// candidates that flip the same output bits share them.
+func (c *Comparator) ErrorWithDeltas(b *BaseEval, changed simulate.Vec, delta []float64) float64 {
+	total := simulate.PopCount(changed)
+	if total == 0 {
+		return b.Err
+	}
+	stride := sampleStride(total)
+	sum := 0.0
+	sampled := 0
+	for w := 0; w < len(changed); w += stride {
+		m := changed[w]
+		sampled += bits.OnesCount64(m)
+		for ; m != 0; m &= m - 1 {
+			sum += delta[w<<6+bits.TrailingZeros64(m)]
+		}
+	}
+	if sampled == 0 {
+		return b.Err
+	}
+	sum *= float64(total) / float64(sampled)
+	return b.Err + sum/float64(c.patterns.NumPatterns())
+}
+
+// FlipDists sets dist[p], for every pattern p in pats, to pattern p's
+// error distance when the base circuit's output bits x[p] flip (MaxED).
+// Entries of dist outside pats are left untouched.
+func (c *Comparator) FlipDists(b *BaseEval, pats simulate.Vec, x []uint64, dist []uint64) {
+	if c.kind != MaxED {
+		panic("errmetric: FlipDists requires the MaxED metric")
+	}
+	for w, m := range pats {
+		for ; m != 0; m &= m - 1 {
+			pat := w<<6 + bits.TrailingZeros64(m)
+			dist[pat] = distance(b.Vals[pat]^x[pat], c.exactVals[pat])
+		}
+	}
+}
+
+// MaxErrorWithDists returns the MaxED of the base circuit with the
+// patterns in changed at the error distances dist (from FlipDists) and
+// every other pattern at its base distance. Like MaxErrorWithFlips it
+// takes untouched words' maxima from the BaseEval cache, so it is
+// exactly MaxErrorWithFlips on the equivalent flip masks.
+func (c *Comparator) MaxErrorWithDists(b *BaseEval, changed simulate.Vec, dist []uint64) float64 {
+	n := c.patterns.NumPatterns()
+	words := len(changed)
+	var g uint64
+	for w, m := range changed {
+		lim := 64
+		if w == words-1 {
+			m &= c.patterns.LastMask()
+			if n&63 != 0 {
+				lim = n & 63
+			}
+		}
+		if m == 0 {
+			if b.wordMax[w] > g {
+				g = b.wordMax[w]
+			}
+			continue
+		}
+		for bit := 0; bit < lim; bit++ {
+			pat := w<<6 + bit
+			var d uint64
+			if m>>uint(bit)&1 != 0 {
+				d = dist[pat]
+			} else {
+				d = distance(b.Vals[pat], c.exactVals[pat])
+			}
+			if d > g {
+				g = d
+			}
+		}
+	}
+	return float64(g)
+}
+
 // wordMaxDiff returns the largest |approx - exact| over the patterns
 // of word w, with the candidate's flips applied when fj is non-empty.
 func (c *Comparator) wordMaxDiff(vals []uint64, w int, fj []int, flips []simulate.Vec) uint64 {
@@ -514,15 +613,8 @@ func (c *Comparator) wordMaxDiff(vals []uint64, w int, fj []int, flips []simulat
 				av ^= 1 << uint(j)
 			}
 		}
-		ev := c.exactVals[pat]
-		var diff uint64
-		if av > ev {
-			diff = av - ev
-		} else {
-			diff = ev - av
-		}
-		if diff > g {
-			g = diff
+		if d := distance(av, c.exactVals[pat]); d > g {
+			g = d
 		}
 	}
 	return g

@@ -10,15 +10,18 @@ import (
 	"accals/internal/simulate"
 )
 
-// BenchmarkEstimateAll measures sharded batch estimation against the
-// sequential baseline on a mid-size multiplier under ER and NMED.
+// BenchmarkEstimateAll measures batch estimation of one fixed round,
+// a 6x6 array multiplier with three LACs applied, under each kernel of
+// the estimator (the word-level metrics NMED and MRED share one) at
+// several worker counts.
 func BenchmarkEstimateAll(b *testing.B) {
-	g := circuits.ArrayMult(6)
-	p := simulate.NewPatterns(g.NumPIs(), 1<<13, 1)
+	ref := circuits.ArrayMult(6)
+	p := simulate.NewPatterns(ref.NumPIs(), 1<<13, 1)
+	g := approximate(ref, p, 3)
 	res := simulate.MustRun(g, p)
 	cands := lac.Generate(g, res, lac.Config{EnableResub: true})
-	for _, kind := range []errmetric.Kind{errmetric.ER, errmetric.NMED} {
-		cmp := errmetric.NewComparator(kind, g, p)
+	for _, kind := range []errmetric.Kind{errmetric.ER, errmetric.MHD, errmetric.NMED, errmetric.MaxED} {
+		cmp := errmetric.NewComparator(kind, ref, p)
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%v/workers=%d", kind, workers), func(b *testing.B) {
 				e := New(workers)

@@ -12,11 +12,32 @@
 // exact cone-resimulation mode is provided for validation and for the
 // flow's accurate per-round evaluation.
 //
-// The per-output passes are mutually independent, so an Estimator
-// shards them across workers (one propagator per shard) and merges the
-// per-shard accumulators deterministically: bitwise OR for ER's
-// any-diff masks, integer sums for MHD, and disjoint (LAC, output)
-// slots for the word-level flip masks. Every merge operation is
+// A candidate enters the estimate only through its deviation mask dv
+// and the propagation masks at its target node, and several candidates
+// share each target. So the per-output work is factored per distinct
+// target: each output's mask at a target is folded once into that
+// target's accumulator, and each candidate then costs O(words) plus the
+// set bits of dv, whatever the output count. With diff_j the patterns
+// on which output j of the current circuit differs from the reference
+// and pm_j output j's mask at the target (nil counts as all-zero):
+//
+//   - ER: flip = OR_j(diff_j ^ pm_j) and anyDiff = OR_j diff_j; the
+//     candidate errs on (anyDiff &^ dv) | (flip & dv).
+//   - MHD: bit-sliced per-pattern counts A[p] = #{j : (diff_j ^ pm_j)[p]}
+//     and D[p] = #{j : diff_j[p]}; the candidate's differing output
+//     bits are D summed off dv plus A summed on dv.
+//   - NMED, MRED, MaxED: X[p], the outputs flipped at pattern p, over
+//     reach = OR_j pm_j; per target, each pattern's error change (or
+//     error distance) under X[p]; per candidate, their sum (or max)
+//     over dv & reach.
+//
+// Each identity holds bit by bit, so the estimates equal those of
+// combining every (candidate, output) pair one by one, which the tests
+// keep as the oracle. The per-output passes are mutually independent,
+// so an Estimator shards them across workers (one propagator per shard)
+// and merges the per-shard accumulators deterministically: bitwise OR
+// for ER, integer sums for MHD, and disjoint output columns of the
+// per-target mask table for the word-level metrics. Every merge is
 // exactly associative and commutative, so the estimates are
 // bit-identical at any worker count.
 package estimator
@@ -34,14 +55,24 @@ import (
 )
 
 // Estimator batch-estimates LAC error increases under a fixed worker
-// budget, keeping per-worker propagators, deviation-mask vectors and
-// accumulator arenas alive across rounds so steady-state estimation
-// allocates almost nothing. An Estimator is not safe for concurrent
-// use; the flows serialize calls per round.
+// budget, keeping per-worker propagators and scoring scratch, the
+// candidate grouping and accumulator arenas alive across rounds so
+// steady-state estimation allocates almost nothing. An Estimator is
+// not safe for concurrent use; the flows serialize calls per round.
 type Estimator struct {
 	workers int
 	props   []*propagator
+	scorers []*wordScratch
 	slabs   par.SlabPool
+
+	devs    []simulate.Vec // per LAC, its deviation mask
+	slot    []int          // per node, its index in targets; -1 otherwise
+	targets []int          // the batch's distinct target nodes
+	tidx    []int          // per LAC, its target's index in targets
+	byT     []int          // LAC indices grouped by target
+	tstart  []int          // per target, the start of its group in byT
+	pmOff   []int          // word-level: offset of pms' vector in its shard's buffer
+	pms     []simulate.Vec // word-level: output j's mask at target t at t*numPOs+j
 }
 
 // New returns an Estimator with the given worker budget (see
@@ -52,6 +83,20 @@ func New(workers int) *Estimator {
 
 // Workers returns the resolved worker count.
 func (e *Estimator) Workers() int { return e.workers }
+
+// batch is the state one EstimateAllRec call shares with its
+// per-metric kernels.
+type batch struct {
+	res    *simulate.Result
+	cmp    *errmetric.Comparator
+	lacs   []*lac.LAC
+	curPOs []simulate.Vec
+	curErr float64
+	words  int
+	numPOs int
+	blocks int // propagation shards over the outputs
+	rec    *obs.Recorder
+}
 
 // EstimateAllRec computes the estimated error increase ΔE for every
 // candidate LAC and stores it in each LAC's DeltaE field. It returns
@@ -71,168 +116,423 @@ func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errm
 	}
 
 	words := res.Patterns.Words()
-	numPOs := g.NumPOs()
-	nl := len(lacs)
-
 	// Deviation masks, computed once per LAC into one pooled slab.
-	devSlab := e.slabs.Get(nl * words)
-	devs := make([]simulate.Vec, nl)
+	devSlab := e.slabs.Get(len(lacs) * words)
+	e.devs = e.devs[:0]
 	for i, l := range lacs {
-		devs[i] = devSlab[i*words : (i+1)*words]
-		l.DeviationInto(devs[i], res)
+		dv, _ := l.DeviationInto(devSlab[i*words:(i+1)*words], res)
+		e.devs = append(e.devs, dv)
 	}
+	e.groupTargets(g, lacs)
 
-	blocks := par.BlocksMin(e.workers, numPOs, minPOsPerShard)
-	e.ensureProps(blocks, g, res)
-
+	b := &batch{
+		res: res, cmp: cmp, lacs: lacs, curPOs: curPOs, curErr: curErr,
+		words: words, numPOs: g.NumPOs(), rec: rec,
+		blocks: par.BlocksMin(e.workers, g.NumPOs(), minPOsPerShard),
+	}
+	e.ensureProps(b.blocks, g, res)
 	switch cmp.Kind() {
 	case errmetric.ER:
-		// ER fast path: per LAC, accumulate the mask of patterns on
-		// which any output differs from the exact circuit. Each shard
-		// owns one arena row block; rows merge by bitwise OR, which is
-		// order-independent, so the merged mask is exactly the
-		// sequential one.
-		exact := cmp.ExactPOs()
-		arena := e.slabs.Get(blocks * nl * words)
-		e.runShards(blocks, numPOs, rec, func(shard, j0, j1 int) {
-			prop := e.props[shard]
-			ad := arena[shard*nl*words : (shard+1)*nl*words]
-			for w := range ad {
-				ad[w] = 0
-			}
-			diffJ := prop.scratchVec()
-			for j := j0; j < j1; j++ {
-				masks := prop.run(j)
-				for w := 0; w < words; w++ {
-					diffJ[w] = curPOs[j][w] ^ exact[j][w]
-				}
-				for i, l := range lacs {
-					row := ad[i*words : (i+1)*words]
-					pm := masks[l.Target]
-					if pm == nil {
-						for w := 0; w < words; w++ {
-							row[w] |= diffJ[w]
-						}
-						continue
-					}
-					dv := devs[i]
-					for w := 0; w < words; w++ {
-						row[w] |= diffJ[w] ^ (pm[w] & dv[w])
-					}
-				}
-			}
-		})
-		n := float64(res.Patterns.NumPatterns())
-		for i, l := range lacs {
-			row := arena[i*words : (i+1)*words]
-			for s := 1; s < blocks; s++ {
-				other := arena[(s*nl+i)*words:][:words]
-				for w := range row {
-					row[w] |= other[w]
-				}
-			}
-			c := 0
-			for _, w := range row {
-				c += bits.OnesCount64(w)
-			}
-			l.DeltaE = float64(c)/n - curErr
-		}
-		e.slabs.Put(arena)
-
+		e.estimateER(b)
 	case errmetric.MHD:
-		// MHD is linear over outputs: each shard tallies per-LAC
-		// diff-bit counts over its outputs; integer sums across shards
-		// are exact regardless of order.
-		exact := cmp.ExactPOs()
-		arena := e.slabs.Get(blocks * nl)
-		e.runShards(blocks, numPOs, rec, func(shard, j0, j1 int) {
-			prop := e.props[shard]
-			counts := arena[shard*nl : (shard+1)*nl]
-			for i := range counts {
-				counts[i] = 0
-			}
-			diffJ := prop.scratchVec()
-			for j := j0; j < j1; j++ {
-				masks := prop.run(j)
-				baseCount := 0
-				for w := 0; w < words; w++ {
-					diffJ[w] = curPOs[j][w] ^ exact[j][w]
-					baseCount += bits.OnesCount64(diffJ[w])
-				}
-				for i, l := range lacs {
-					pm := masks[l.Target]
-					if pm == nil {
-						counts[i] += uint64(baseCount)
-						continue
-					}
-					dv := devs[i]
-					c := 0
-					for w := 0; w < words; w++ {
-						c += bits.OnesCount64(diffJ[w] ^ (pm[w] & dv[w]))
-					}
-					counts[i] += uint64(c)
-				}
-			}
-		})
-		denom := float64(res.Patterns.NumPatterns() * numPOs)
-		for i, l := range lacs {
-			total := uint64(0)
-			for s := 0; s < blocks; s++ {
-				total += arena[s*nl+i]
-			}
-			l.DeltaE = float64(total)/denom - curErr
-		}
-		e.slabs.Put(arena)
-
+		e.estimateMHD(b)
 	default:
-		// Word-level metrics: collect per-PO flip masks per LAC (nil
-		// when the LAC cannot flip that output). Shards own disjoint
-		// output columns of the flips matrix, so no merge is needed;
-		// scoring is then per-LAC independent and runs sharded too.
-		flips := make([][]simulate.Vec, nl)
-		for i := range flips {
-			flips[i] = make([]simulate.Vec, numPOs)
-		}
-		e.runShards(blocks, numPOs, rec, func(shard, j0, j1 int) {
-			prop := e.props[shard]
-			for j := j0; j < j1; j++ {
-				masks := prop.run(j)
-				for i, l := range lacs {
-					pm := masks[l.Target]
-					if pm == nil {
-						continue
-					}
-					var f simulate.Vec
-					for w := 0; w < words; w++ {
-						b := pm[w] & devs[i][w]
-						if b != 0 && f == nil {
-							f = make(simulate.Vec, words)
-						}
-						if f != nil {
-							f[w] = b
-						}
-					}
-					flips[i][j] = f
-				}
-			}
-		})
-		base := cmp.NewBaseEval(curPOs)
-		// MaxED needs a max-merge (cached per-word maxima, re-walk only
-		// touched words) where the mean metrics use a sum delta.
-		score := cmp.ErrorWithFlips
-		if cmp.Kind() == errmetric.MaxED {
-			score = cmp.MaxErrorWithFlips
-		}
-		minLACs := minScoreWordOps / (numPOs*words + 1)
-		par.For(par.BlocksMin(e.workers, nl, minLACs), nl, func(_, i0, i1 int) {
-			for i := i0; i < i1; i++ {
-				lacs[i].DeltaE = score(base, flips[i]) - curErr
-			}
-		})
+		e.estimateWord(b)
 	}
-
+	// Drop the views into pooled slabs so that an idle Estimator does
+	// not keep them alive.
+	clear(e.devs)
 	e.slabs.Put(devSlab)
 	return curErr
+}
+
+// groupTargets lists the batch's distinct target nodes, in order of
+// first appearance, and indexes every LAC by its target.
+func (e *Estimator) groupTargets(g *aig.Graph, lacs []*lac.LAC) {
+	for len(e.slot) < g.NumNodes() {
+		e.slot = append(e.slot, -1)
+	}
+	e.targets, e.tidx = e.targets[:0], e.tidx[:0]
+	for _, l := range lacs {
+		t := e.slot[l.Target]
+		if t < 0 {
+			t = len(e.targets)
+			e.slot[l.Target] = t
+			e.targets = append(e.targets, l.Target)
+		}
+		e.tidx = append(e.tidx, t)
+	}
+	for _, n := range e.targets {
+		e.slot[n] = -1
+	}
+}
+
+// diffInto sets dst to the patterns on which cur and exact differ and
+// reports whether there are any.
+func diffInto(dst, cur, exact simulate.Vec) bool {
+	var any uint64
+	for w := range dst {
+		dst[w] = cur[w] ^ exact[w]
+		any |= dst[w]
+	}
+	return any != 0
+}
+
+// estimateER scores the batch under ER. Each shard owns one arena row
+// block: row 0 accumulates anyDiff over the shard's outputs and row
+// 1+t the flip mask of target t. Rows merge by bitwise OR, which is
+// order-independent, so the merged masks are exactly the sequential
+// ones.
+func (e *Estimator) estimateER(b *batch) {
+	exact := b.cmp.ExactPOs()
+	words := b.words
+	stride := (len(e.targets) + 1) * words
+	arena := e.slabs.Get(b.blocks * stride)
+	e.runShards(b.blocks, b.numPOs, b.rec, func(shard, j0, j1 int) {
+		prop := e.props[shard]
+		acc := arena[shard*stride : (shard+1)*stride]
+		clear(acc)
+		diffJ := prop.scratchVec()
+		for j := j0; j < j1; j++ {
+			masks := prop.run(j)
+			nz := diffInto(diffJ, b.curPOs[j], exact[j])
+			if nz {
+				for w, d := range diffJ {
+					acc[w] |= d
+				}
+			}
+			for t, n := range e.targets {
+				flip := acc[(t+1)*words : (t+2)*words]
+				pm := masks[n]
+				if pm == nil {
+					if nz {
+						for w, d := range diffJ {
+							flip[w] |= d
+						}
+					}
+					continue
+				}
+				for w, d := range diffJ {
+					flip[w] |= d ^ pm[w]
+				}
+			}
+		}
+	})
+	acc := arena[:stride]
+	for s := 1; s < b.blocks; s++ {
+		for w, x := range arena[s*stride : (s+1)*stride] {
+			acc[w] |= x
+		}
+	}
+	anyDiff := acc[:words]
+	n := float64(b.res.Patterns.NumPatterns())
+	e.forLACs(b, words, func(i int) {
+		flip := acc[(e.tidx[i]+1)*words:][:words]
+		c := 0
+		for w, dv := range e.devs[i] {
+			c += bits.OnesCount64(anyDiff[w]&^dv | flip[w]&dv)
+		}
+		b.lacs[i].DeltaE = float64(c)/n - b.curErr
+	})
+	e.slabs.Put(arena)
+}
+
+// estimateMHD scores the batch under MHD, which is linear over
+// outputs. Each shard owns per-pattern counters over its outputs,
+// bit-sliced into k planes with k wide enough for its output count:
+// counter 0 is D, the outputs that differ, and counter 1+t is A for
+// target t, the outputs that differ once t flips. The shard then turns
+// each A into A - D, in k+1 two's-complement planes, so that a LAC's
+// shard count, sum(D) + sum over dv of (A - D), costs one popcount per
+// plane word. Counts are exact in integers, and integer sums across
+// shards are exact regardless of order.
+func (e *Estimator) estimateMHD(b *batch) {
+	exact := b.cmp.ExactPOs()
+	words := b.words
+	k := bits.Len(uint((b.numPOs + b.blocks - 1) / b.blocks))
+	ctr := (k + 1) * words // words per counter, sign plane included
+	stride := (len(e.targets) + 1) * ctr
+	arena := e.slabs.Get(b.blocks * stride)
+	sumD := make([]int64, b.blocks)
+	e.runShards(b.blocks, b.numPOs, b.rec, func(shard, j0, j1 int) {
+		prop := e.props[shard]
+		acc := arena[shard*stride : (shard+1)*stride]
+		clear(acc)
+		d := acc[:ctr]
+		diffJ := prop.scratchVec()
+		for j := j0; j < j1; j++ {
+			masks := prop.run(j)
+			nz := diffInto(diffJ, b.curPOs[j], exact[j])
+			if nz {
+				addSliced(d, diffJ, nil)
+			}
+			for t, n := range e.targets {
+				if pm := masks[n]; pm != nil || nz {
+					addSliced(acc[(t+1)*ctr:(t+2)*ctr], diffJ, pm)
+				}
+			}
+		}
+		for t := range e.targets {
+			subSliced(acc[(t+1)*ctr:(t+2)*ctr], d, k)
+		}
+		for i := 0; i < k; i++ {
+			sumD[shard] += int64(simulate.PopCount(d[i*words:(i+1)*words])) << uint(i)
+		}
+	})
+	denom := float64(b.res.Patterns.NumPatterns() * b.numPOs)
+	e.forLACs(b, b.blocks*ctr, func(i int) {
+		t := e.tidx[i] + 1
+		total := int64(0)
+		for s := 0; s < b.blocks; s++ {
+			total += sumD[s]
+			a := arena[s*stride+t*ctr:][:ctr]
+			dvs := e.devs[i]
+			for bit := 0; bit <= k; bit++ {
+				ab := a[bit*words:][:len(dvs)]
+				c := 0
+				for w, dv := range dvs {
+					c += bits.OnesCount64(ab[w] & dv)
+				}
+				if bit == k {
+					total -= int64(c) << uint(bit)
+				} else {
+					total += int64(c) << uint(bit)
+				}
+			}
+		}
+		b.lacs[i].DeltaE = float64(total)/denom - b.curErr
+	})
+	e.slabs.Put(arena)
+}
+
+// forLACs calls score for every LAC index of the batch, sharded across
+// the workers so that each shard carries at least minScoreWordOps
+// word operations, at opsPerLAC per call.
+func (e *Estimator) forLACs(b *batch, opsPerLAC int, score func(i int)) {
+	n := len(b.lacs)
+	par.For(par.BlocksMin(e.workers, n, minScoreWordOps/(opsPerLAC+1)), n, func(_, i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			score(i)
+		}
+	})
+}
+
+// addSliced adds the 0/1 vector x ^ m (m may be nil) into the
+// bit-sliced counters ctr, laid out plane-major: ctr[i*len(x)+w] holds
+// bit i of the count of each pattern of word w. The caller sizes ctr
+// so that no count overflows. Carries rarely pass the low planes, so
+// plane-major keeps the touched words contiguous.
+func addSliced(ctr []uint64, x, m simulate.Vec) {
+	words := len(x)
+	for w, c := range x {
+		if m != nil {
+			c ^= m[w]
+		}
+		for i := w; c != 0; i += words {
+			ctr[i], c = ctr[i]^c, ctr[i]&c
+		}
+	}
+}
+
+// subSliced replaces the k-plane unsigned bit-sliced counters a with
+// a - d as k+1-plane two's-complement counters (plane k weighs -2^k).
+// Both use addSliced's plane-major layout; a's plane k must be zero.
+func subSliced(a, d []uint64, k int) {
+	words := len(a) / (k + 1)
+	for w := 0; w < words; w++ {
+		var borrow uint64
+		for i := 0; i <= k; i++ {
+			x, y := a[i*words+w], d[i*words+w]
+			a[i*words+w] = x ^ y ^ borrow
+			borrow = ^x&y | ^(x^y)&borrow
+		}
+	}
+}
+
+// estimateWord scores the batch under a word-level metric (NMED, MRED
+// or MaxED). The propagation shards copy each output's non-zero mask
+// at every target into a pooled buffer indexed by the per-target table
+// pms, owning disjoint output columns, so no merge is needed. Scoring
+// then runs per target, sharded over targets: the outputs flipped at
+// each reached pattern, and that pattern's error change or distance,
+// are derived once and shared by the target's LACs.
+func (e *Estimator) estimateWord(b *batch) {
+	nt, numPOs, words := len(e.targets), b.numPOs, b.words
+	e.pmOff = resize(e.pmOff, nt*numPOs)
+	if cap(e.pms) < nt*numPOs {
+		e.pms = make([]simulate.Vec, nt*numPOs)
+	}
+	e.pms = e.pms[:nt*numPOs]
+	kept := make([][]uint64, b.blocks)
+	e.runShards(b.blocks, numPOs, b.rec, func(shard, j0, j1 int) {
+		prop := e.props[shard]
+		buf := e.slabs.Get(prop.keptLen)[:0]
+		for j := j0; j < j1; j++ {
+			masks := prop.run(j)
+			for t, n := range e.targets {
+				off := -1
+				if pm := masks[n]; pm != nil {
+					off = len(buf)
+					buf = append(buf, pm...)
+					if !anySet(buf[off:]) {
+						buf, off = buf[:off], -1
+					}
+				}
+				e.pmOff[t*numPOs+j] = off
+			}
+		}
+		kept[shard], prop.keptLen = buf, len(buf)
+		for j := j0; j < j1; j++ {
+			for t := 0; t < nt; t++ {
+				var pm simulate.Vec
+				if off := e.pmOff[t*numPOs+j]; off >= 0 {
+					pm = buf[off : off+words : off+words]
+				}
+				e.pms[t*numPOs+j] = pm
+			}
+		}
+	})
+
+	e.groupByTarget()
+	base := b.cmp.NewBaseEval(b.curPOs)
+	maxed := b.cmp.Kind() == errmetric.MaxED
+	blocks := par.BlocksMin(e.workers, nt, minScoreWordOps/(numPOs*words+1))
+	for len(e.scorers) < blocks {
+		e.scorers = append(e.scorers, &wordScratch{})
+	}
+	par.For(blocks, nt, func(shard, t0, t1 int) {
+		sc := e.scorers[shard]
+		sc.reset(words, maxed)
+		for t := t0; t < t1; t++ {
+			pms := e.pms[t*numPOs : (t+1)*numPOs]
+			group := e.byT[e.tstart[t]:e.tstart[t+1]]
+			clear(sc.reach)
+			for _, pm := range pms {
+				for w, m := range pm {
+					sc.reach[w] |= m
+				}
+			}
+			// Only patterns some LAC of the group deviates on matter.
+			clear(sc.need)
+			for _, i := range group {
+				for w, dv := range e.devs[i] {
+					sc.need[w] |= dv
+				}
+			}
+			for w, r := range sc.reach {
+				sc.need[w] &= r
+			}
+			spread(sc.x, pms, sc.need)
+			if maxed {
+				b.cmp.FlipDists(base, sc.need, sc.x, sc.dist)
+			} else {
+				b.cmp.FlipDeltas(base, sc.need, sc.x, sc.delta)
+			}
+			for _, i := range group {
+				for w, dv := range e.devs[i] {
+					sc.changed[w] = dv & sc.reach[w]
+				}
+				var score float64
+				if maxed {
+					score = b.cmp.MaxErrorWithDists(base, sc.changed, sc.dist)
+				} else {
+					score = b.cmp.ErrorWithDeltas(base, sc.changed, sc.delta)
+				}
+				b.lacs[i].DeltaE = score - b.curErr
+			}
+		}
+	})
+	clear(e.pms)
+	for _, buf := range kept {
+		e.slabs.Put(buf)
+	}
+}
+
+// groupByTarget fills byT with the batch's LAC indices grouped by
+// target (a counting sort on tidx), group t spanning
+// byT[tstart[t]:tstart[t+1]].
+func (e *Estimator) groupByTarget() {
+	nt := len(e.targets)
+	e.tstart = resize(e.tstart, nt+1)
+	clear(e.tstart)
+	for _, t := range e.tidx {
+		e.tstart[t+1]++
+	}
+	for t := 0; t < nt; t++ {
+		e.tstart[t+1] += e.tstart[t]
+	}
+	e.byT = resize(e.byT, len(e.tidx))
+	for i, t := range e.tidx {
+		e.byT[e.tstart[t]] = i
+		e.tstart[t]++
+	}
+	// Each tstart[t] now holds group t's end; shift back to starts.
+	copy(e.tstart[1:], e.tstart[:nt])
+	e.tstart[0] = 0
+}
+
+// spread sets x[p], for every pattern p in need, to the outputs whose
+// mask in pms (indexed by output; nil when none) has pattern p set,
+// output j as bit j.
+func spread(x []uint64, pms []simulate.Vec, need simulate.Vec) {
+	for w, m := range need {
+		if m == 0 {
+			continue
+		}
+		xw := x[w<<6 : w<<6+64]
+		clear(xw)
+		for j, pm := range pms {
+			if pm == nil {
+				continue
+			}
+			for f := pm[w] & m; f != 0; f &= f - 1 {
+				xw[bits.TrailingZeros64(f)] |= 1 << uint(j)
+			}
+		}
+	}
+}
+
+// wordScratch is one word-level scoring shard's reusable buffers: the
+// target's reach and needed-pattern masks, a LAC's changed patterns,
+// and per-pattern flipped outputs with their error change (mean
+// metrics) or distance (MaxED).
+type wordScratch struct {
+	reach, need, changed simulate.Vec
+	x                    []uint64
+	delta                []float64
+	dist                 []uint64
+}
+
+// reset sizes the scratch for words-word pattern vectors.
+func (sc *wordScratch) reset(words int, maxed bool) {
+	sc.reach = resize(sc.reach, words)
+	sc.need = resize(sc.need, words)
+	sc.changed = resize(sc.changed, words)
+	sc.x = resize(sc.x, words*64)
+	if maxed {
+		sc.dist = resize(sc.dist, words*64)
+	} else {
+		sc.delta = resize(sc.delta, words*64)
+	}
+}
+
+// resize returns s with length n, reusing its backing array when large
+// enough. Contents are unspecified.
+func resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
+}
+
+// anySet reports whether any bit of v is set.
+func anySet(v []uint64) bool {
+	for _, w := range v {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Min-work-per-shard thresholds (see par.BlocksMin). Each per-output
@@ -284,6 +584,7 @@ type propagator struct {
 	touched []int
 	pool    []simulate.Vec
 	scratch simulate.Vec
+	keptLen int // word-level: words of target masks this shard last kept
 }
 
 // reset rebinds the propagator to a graph and its simulation, retiring

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"accals/internal/blif"
+	"accals/internal/checkpoint"
 	"accals/internal/faultinject"
 	"accals/internal/obs"
 )
@@ -133,6 +134,13 @@ func TestChaos(t *testing.T) {
 	// One extra beat so at least one tripped watchdog reaches its
 	// terminal record before the plug is pulled.
 	time.Sleep(600 * time.Millisecond)
+	// Pull it while running jobs have usable checkpoints and rounds
+	// left, so that the recovery below has resumes to perform: a kill
+	// that only catches jobs before their first snapshot, or about to
+	// finish, would leave the resume path untested.
+	for resumableRunning(m) < 2 && time.Now().Before(killAt) {
+		time.Sleep(time.Millisecond)
+	}
 
 	// Mid-run observability: under full chaos load the scrape must
 	// still export the complete admission story. The submission phase
@@ -168,12 +176,16 @@ func TestChaos(t *testing.T) {
 	// A fresh registry: the conservation law below is a per-manager-
 	// lifetime invariant (recovered jobs are re-admitted), so sharing
 	// the killed manager's registry would double-count them.
+	// Its injector stays disarmed until the fleet has converged; then
+	// it hangs one round for this manager's own watchdog to catch.
+	inj2 := faultinject.New(seed)
 	m2, err := Open(Config{
 		Dir:             dir,
 		MaxRunning:      8,
 		MaxQueue:        numJobs + 16,
 		CheckpointEvery: 1,
 		Watchdog:        2 * time.Second,
+		Inj:             inj2,
 		Metrics:         obs.NewRegistry(),
 	})
 	if err != nil {
@@ -243,11 +255,7 @@ func TestChaos(t *testing.T) {
 			t.Errorf("fault point %s never fired (seed %d); census: %s", point, seed, inj)
 		}
 	}
-	if hung := countKind(m2, "hung"); inj.Fired(FaultRoundHang) > 0 && hung == 0 {
-		t.Error("rounds hung but the watchdog tripped no job")
-	} else {
-		t.Logf("watchdog tripped %d hung jobs", hung)
-	}
+	t.Logf("watchdog tripped %d hung jobs before the kill", countKind(m2, "hung"))
 
 	// Byte-identity: every done job with a deterministic stop reason
 	// must match an uninterrupted clean run of its spec — resumed or
@@ -284,10 +292,36 @@ func TestChaos(t *testing.T) {
 		t.Fatal("byte-identity check covered no jobs")
 	}
 
+	// A hang before the kill may be cut short by the kill rather than
+	// caught by a watchdog, so the watchdog is proved on the recovered
+	// manager: one fresh job whose first round hangs must be tripped
+	// by m2's own watchdog.
+	inj2.Set(FaultRoundHang, faultinject.Rule{Prob: 1, Count: 1, Delay: time.Minute})
+	hj, err := m2.Submit(specFor(numJobs))
+	if err != nil {
+		t.Fatalf("submit the hang probe: %v", err)
+	}
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(20 * time.Millisecond) {
+		if j, err := m2.Get(hj.ID); err == nil && j.State.Terminal() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("hang probe %s never went terminal", hj.ID)
+		}
+	}
+	fires := sumCounters(m2.Metrics().CounterSnapshot(), "accalsd_watchdog_fires_total")
+	if hung := countKind(m2, "hung"); inj2.Fired(FaultRoundHang) > 0 && (hung == 0 || fires == 0) {
+		t.Error("rounds hung but the watchdog tripped no job")
+	} else {
+		t.Logf("recovered manager's watchdog fired %v times", fires)
+	}
+	if j, err := m2.Get(hj.ID); err != nil || j.State != StateFailed || j.FailureKind != "hung" {
+		t.Errorf("hang probe ended %+v (%v), want failed by the watchdog", j, err)
+	}
+
 	// Metrics conservation at quiesce: every admission this lifetime
-	// (all of them recoveries — nothing was submitted to m2) is
-	// accounted for by a terminal counter, and SSE drops cannot exceed
-	// subscriptions. The chaos fleet is the adversarial witness: missed
+	// (the recoveries and the hang probe) is accounted for by a
+	// terminal counter, and SSE drops cannot exceed subscriptions. The chaos fleet is the adversarial witness: missed
 	// instrumentation on any lifecycle edge (panic, watchdog, cancel,
 	// resume) breaks the equation.
 	recSnap := m2.Metrics().CounterSnapshot()
@@ -317,6 +351,21 @@ func TestChaos(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// resumableRunning counts the running jobs of m that have a snapshot a
+// recovery could resume from and at least two rounds left to run.
+func resumableRunning(m *Manager) int {
+	n := 0
+	for _, j := range m.List() {
+		if j.State != StateRunning || j.Round+2 > j.Spec.MaxRounds {
+			continue
+		}
+		if _, err := checkpoint.Latest(m.store.ckptDir(j.ID)); err == nil {
+			n++
+		}
+	}
+	return n
 }
 
 func countKind(m *Manager, kind string) int {
